@@ -25,14 +25,29 @@ from .syntax import parse_macll_sequent, parse_sequent
 BUDGET_ENV = "CONJCAT_BUDGET"
 
 
-def _default_budget() -> int:
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _budget(args) -> int:
+    """`--budget`, else $CONJCAT_BUDGET, else DEFAULT_BUDGET.  Called only
+    where a search runs, so no other query reads the variable."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        return _nonnegative_int(raw)
+    except argparse.ArgumentTypeError:
+        raise ParseError(f"{BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 def _emit(args, text: str):
@@ -53,7 +68,6 @@ def _cmd_member(args) -> int:
     if args.derivation and args.output == "text":
         raise ParseError("--derivation needs --output json or latex")
     grammar = load_grammar(args.grammar)
-    budget = args.budget or _default_budget()
     # A tree costs a chart of its own, so it is built only when printed.
     # It exists exactly when the string is a member, so it also answers
     # the query.
@@ -71,7 +85,7 @@ def _cmd_member(args) -> int:
         if args.derivation:
             raise GrammarError("Lambek membership yields no derivation; "
                                "--derivation applies to cg and ccg grammars")
-        member = lambek_member(grammar, args.string, budget=budget)
+        member = lambek_member(grammar, args.string, budget=_budget(args))
     if args.output == "json":
         payload = {"string": args.string, "member": member}
         if artifact is not None:
@@ -87,7 +101,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    budget = args.budget or _default_budget()
+    budget = _budget(args)
     if args.calculus == "MACLL":
         tree = prove_macll(parse_macll_sequent(args.sequent), budget=budget)
     elif args.calculus in CALCULI:
@@ -137,13 +151,12 @@ def _cmd_translate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     grammar = load_grammar(args.grammar)
-    budget = args.budget or _default_budget()
     if isinstance(grammar, ConjGrammar):
         words = cg_enumerate(grammar, args.max_len)
     elif isinstance(grammar, CCG):
         words = ccg_enumerate(grammar, args.max_len)
     else:
-        words = lambek_enumerate(grammar, args.max_len, budget=budget)
+        words = lambek_enumerate(grammar, args.max_len, budget=_budget(args))
     ordered = sorted(words, key=lambda w: (len(w), w))
     if args.output == "json":
         _emit(args, _json_line({"max_len": args.max_len,
@@ -188,7 +201,9 @@ def _cmd_cvp(args) -> int:
     if args.action == "member":
         pattern = args.circuit
         if "?" in pattern:
-            member = cvp_mod.csp_member(pattern, max_check=args.budget or 4096)
+            max_check = (cvp_mod.DEFAULT_CSP_BUDGET if args.budget is None
+                         else args.budget)
+            member = cvp_mod.csp_member(pattern, max_check=max_check)
         else:
             member = cg_member(cvp_mod.cvp_grammar(), pattern)
         if args.output == "json":
@@ -242,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", choices=("text", "json", "latex"), default="text")
         p.add_argument("--out", help="write the result to a file instead of stdout")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_nonnegative_int, default=None,
                        help=f"search budget (default from ${BUDGET_ENV} or "
                             f"{DEFAULT_BUDGET})")
 

@@ -31,12 +31,6 @@ def nullable_nonterminals(g: ConjGrammar) -> frozenset[str]:
     return frozenset(nullable)
 
 
-def _check_word(g: ConjGrammar, w: str):
-    for ch in w:
-        if ch not in g.terminals:
-            raise UndeclaredSymbolError(f"symbol {ch!r} is not a terminal of the grammar")
-
-
 # ---------------------------------------------------------------------------
 # Derivation trees
 # ---------------------------------------------------------------------------
@@ -102,51 +96,92 @@ def _cg_node_latex(node: CGNode, w: str) -> str:
 # Membership
 # ---------------------------------------------------------------------------
 
-class _Chart:
-    """Span table shared by the two membership strategies.
+# Marks a table entry whose computation is still on the call stack.
+_PENDING = object()
 
-    When every conjunct body contains a terminal, recursion always moves
-    to a strictly smaller span, so a demand-driven table is safe.  With
-    terminal-free bodies (unit conjuncts, nullable chains) nonterminals
-    on one span can depend on each other, and the chart falls back to
-    processing spans by increasing length, iterating each span to a
-    fixpoint.
+
+class _Chart:
+    """Demand-driven span table: `derives(nt, i, j)` says whether `nt`
+    derives `w[i:j]`; with `i == j` it answers nullability.
+
+    A query on a span consults only that span and spans inside it, so
+    spans never depend on each other cyclically, but the entries of one
+    span can (unit conjuncts, nullable neighbours).  Each span is solved
+    as one least fixpoint, driven by its outermost query.  An entry read
+    while it is still being computed counts as false for now, and the
+    outermost query runs again while its last pass both read such an
+    entry and turned some entry of the span true.  Before it runs again,
+    the span's negative entries, which may rest on a provisional "no",
+    are forgotten, also when the query itself came out true.  Positive
+    entries stand: each was proved from entries already true, so their
+    backpointers never form a cycle.
+
+    The table maps `(nt, i, j)` to `(rule_index, splits)` when `nt`
+    derives `w[i:j]`, to None when it does not, and to `_PENDING` while
+    the entry is being computed.
     """
 
     def __init__(self, g: ConjGrammar, w: str):
         self.g = g
         self.w = w
-        self.nullable = nullable_nonterminals(g)
         self.rules_by_head: dict[str, list[tuple[int, Rule]]] = {}
         for idx, rule in enumerate(g.rules):
             self.rules_by_head.setdefault(rule.head, []).append((idx, rule))
-        self.topdown = all(any(sym in g.terminals for sym in body)
-                           for rule in g.rules for body in rule.conjuncts if body)
-        # (nt, i, j) -> backpointer | None;  backpointer = (rule_index, splits)
-        self.table: dict[tuple[str, int, int], Optional[tuple]] = {}
-        if not self.topdown:
-            self._fill_bottom_up()
-
-    # -- shared ------------------------------------------------------------
+        self.table: dict[tuple[str, int, int], object] = {}
+        # The span of the innermost outermost query, and about its current
+        # pass: whether it read a pending entry, whether an entry of the
+        # span turned true, and which negative entries it stored.
+        self.span: Optional[tuple[int, int]] = None
+        self.read_pending = False
+        self.grew = False
+        self.negatives: list[tuple[str, int, int]] = []
 
     def derives(self, nt: str, i: int, j: int) -> bool:
-        if i == j:
-            return nt in self.nullable
-        if self.topdown:
-            return self._derive_topdown(nt, i, j)
-        return (nt, i, j) in self.table
+        key = (nt, i, j)
+        if key in self.table:
+            entry = self.table[key]
+            if entry is _PENDING:
+                self.read_pending = True
+                return False
+            return entry is not None
+        if (i, j) != self.span:
+            # The outermost query on this span: run passes to the fixpoint.
+            outer = self.span, self.read_pending, self.grew, self.negatives
+            self.span = (i, j)
+            while True:
+                self.read_pending = self.grew = False
+                self.negatives = []
+                found = self.derives(nt, i, j)
+                if not (self.read_pending and self.grew):
+                    break
+                for negative in self.negatives:
+                    del self.table[negative]
+                if found:
+                    break
+            self.span, self.read_pending, self.grew, self.negatives = outer
+            return found
+        # First rule, in declaration order, whose every conjunct has a
+        # split under the entries known now.
+        self.table[key] = _PENDING
+        for idx, rule in self.rules_by_head.get(nt, ()):
+            splits = []
+            for body in rule.conjuncts:
+                split = self._match_splits(body, i, j)
+                if split is None:
+                    break
+                splits.append(split)
+            else:
+                self.table[key] = (idx, tuple(splits))
+                self.grew = True
+                return True
+        self.table[key] = None
+        self.negatives.append(key)
+        return False
 
-    def _match_splits(self, body: tuple[str, ...], i: int, j: int,
-                      live: Optional[set[str]] = None) -> Optional[tuple]:
-        """Leftmost split of w[i:j] into the body items, or None.
+    def _match_splits(self, body: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
+        """Leftmost split of w[i:j] into the body items, or None."""
 
-        `live` restricts which same-span nonterminal entries may be used
-        (bottom-up fixpoint snapshot); irrelevant in demand-driven mode.
-        """
-        if not body:
-            return () if i == j else None
-
-        def walk(idx: int, pos: int) -> Optional[list]:
+        def walk(idx, pos):
             if idx == len(body):
                 return [] if pos == j else None
             sym = body[idx]
@@ -157,13 +192,7 @@ class _Chart:
                         return [(sym, pos, pos + 1)] + rest
                 return None
             for mid in range(pos, j + 1):
-                if mid == pos:
-                    ok = sym in self.nullable
-                elif live is not None and pos == i and mid == j:
-                    ok = sym in live
-                else:
-                    ok = self.derives(sym, pos, mid)
-                if ok:
+                if self.derives(sym, pos, mid):
                     rest = walk(idx + 1, mid)
                     if rest is not None:
                         return [(sym, pos, mid)] + rest
@@ -172,119 +201,46 @@ class _Chart:
         out = walk(0, i)
         return tuple(out) if out is not None else None
 
-    # -- demand-driven -----------------------------------------------------
-
-    def _derive_topdown(self, nt: str, i: int, j: int) -> bool:
-        key = (nt, i, j)
-        if key in self.table:
-            return self.table[key] is not None
-        self.table[key] = None
-        for idx, rule in self.rules_by_head.get(nt, ()):
-            splits = []
-            for body in rule.conjuncts:
-                split = self._match_splits(body, i, j)
-                if split is None:
-                    break
-                splits.append(split)
-            else:
-                self.table[key] = (idx, tuple(splits))
-                return True
-        return False
-
-    # -- bottom-up fixpoint ------------------------------------------------
-
-    def _fill_bottom_up(self):
-        n = len(self.w)
-        for length in range(1, n + 1):
-            for i in range(n - length + 1):
-                j = i + length
-                cell: set[str] = set()
-                changed = True
-                while changed:
-                    changed = False
-                    for idx, rule in enumerate(self.g.rules):
-                        if rule.head in cell:
-                            continue
-                        splits = []
-                        for body in rule.conjuncts:
-                            split = self._match_splits(body, i, j, live=cell)
-                            if split is None:
-                                break
-                            splits.append(split)
-                        else:
-                            cell.add(rule.head)
-                            self.table[(rule.head, i, j)] = (idx, tuple(splits))
-                            changed = True
-
-    # -- tree extraction ---------------------------------------------------
-
     def tree(self, nt: str, i: int, j: int) -> CGNode:
-        if i == j:
-            return self._nullable_tree(nt, i)
-        back = self.table[(nt, i, j)]
-        idx, splits = back
+        idx, splits = self.table[(nt, i, j)]
         groups = []
         for split in splits:
-            group = []
-            for sym, a, b in split:
-                if sym in self.g.terminals:
-                    group.append(CGNode(sym, (a, b)))
-                elif a == b:
-                    group.append(self._nullable_tree(sym, a))
-                else:
-                    group.append(self.tree(sym, a, b))
-            if not group:
-                group = [CGNode("", (i, i))]
-            groups.append(tuple(group))
+            group = tuple(CGNode(sym, (a, b)) if sym in self.g.terminals
+                          else self.tree(sym, a, b)
+                          for sym, a, b in split)
+            groups.append(group or (CGNode("", (i, i)),))
         return CGNode(nt, (i, j), idx, tuple(groups))
 
-    def _nullable_tree(self, nt: str, pos: int) -> CGNode:
-        # Replay of the nullable fixpoint; witnesses added earlier never
-        # reference later ones, so the recursion is well founded.
-        witness: dict[str, int] = {}
-        order: list[str] = []
-        changed = True
-        while changed and nt not in witness:
-            changed = False
-            for idx, rule in enumerate(self.g.rules):
-                if rule.head in witness:
-                    continue
-                if all(all(sym in witness for sym in body) for body in rule.conjuncts):
-                    witness[rule.head] = idx
-                    order.append(rule.head)
-                    changed = True
 
-        def build(sym: str) -> CGNode:
-            idx = witness[sym]
-            rule = self.g.rules[idx]
-            groups = []
-            for body in rule.conjuncts:
-                group = tuple(build(s) for s in body)
-                if not group:
-                    group = (CGNode("", (pos, pos)),)
-                groups.append(group)
-            return CGNode(sym, (pos, pos), idx, tuple(groups))
-
-        return build(nt)
+def _checked_start(g: ConjGrammar, w: str, start: Optional[str]) -> str:
+    for ch in w:
+        if ch not in g.terminals:
+            raise UndeclaredSymbolError(f"symbol {ch!r} is not a terminal of the grammar")
+    start = g.start if start is None else start
+    if start not in g.nonterminals:
+        raise GrammarError(f"unknown nonterminal {start!r}")
+    return start
 
 
 def cg_member(g: ConjGrammar, w: str, start: Optional[str] = None) -> bool:
     """Does the grammar derive `w` from `start` (default: the start symbol)?"""
-    _check_word(g, w)
-    start = g.start if start is None else start
-    if start not in g.nonterminals:
-        raise GrammarError(f"unknown nonterminal {start!r}")
-    if w == "":
-        return start in nullable_nonterminals(g)
+    start = _checked_start(g, w, start)
     return _Chart(g, w).derives(start, 0, len(w))
 
 
 def cg_derivation(g: ConjGrammar, w: str,
                   start: Optional[str] = None) -> Optional[CGDerivation]:
-    """A derivation tree for `w`, or None.  The tree is deterministic:
-    rules in declaration order, leftmost splits."""
-    _check_word(g, w)
-    start = g.start if start is None else start
+    """A derivation tree for `w`, or None; raises as `cg_member` does.
+
+    The tree is a function of the grammar, the word and the start symbol.
+    Each node cites the first rule, in declaration order and with the
+    leftmost split, that applies given what the chart knew when it
+    computed that node's entry.  Unless the computation met a same-span
+    cycle (read an entry still being computed), that is the first rule
+    that applies at all; inside such a cycle it can be a later rule.
+    Every tree replays.
+    """
+    start = _checked_start(g, w, start)
     chart = _Chart(g, w)
     if not chart.derives(start, 0, len(w)):
         return None

@@ -188,15 +188,10 @@ def _balanced(total: _Interval) -> bool:
 _SeqKey = tuple[tuple[Category, ...], Category]
 
 
-def _and_leaves(c: Category) -> tuple[Category, ...]:
-    if isinstance(c, And):
-        return _and_leaves(c.left) + _and_leaves(c.right)
-    return (c,)
-
-
-def _or_leaves(c: Category) -> tuple[Category, ...]:
-    if isinstance(c, Or):
-        return _or_leaves(c.left) + _or_leaves(c.right)
+def _leaves(c: Category, op: type) -> tuple[Category, ...]:
+    """The leaves of a chain of the binary connective `op`, left to right."""
+    if isinstance(c, op):
+        return _leaves(c.left, op) + _leaves(c.right, op)
     return (c,)
 
 
@@ -259,22 +254,22 @@ class _TwoSidedSearch:
             return
         if isinstance(succ, And):
             yield ("and_right", None,
-                   tuple((ants, leaf) for leaf in _and_leaves(succ)))
+                   tuple((ants, leaf) for leaf in _leaves(succ, And)))
             return
         for h in range(n):
             if isinstance(ants[h], Or):
                 yield ("or_left", h,
                        tuple((ants[:h] + (leaf,) + ants[h + 1:], succ)
-                             for leaf in _or_leaves(ants[h])))
+                             for leaf in _leaves(ants[h], Or)))
                 return
         # choice rules
         for h in range(n):
             if isinstance(ants[h], And):
-                for i, leaf in enumerate(_and_leaves(ants[h])):
+                for i, leaf in enumerate(_leaves(ants[h], And)):
                     yield ("and_left", (h, i),
                            ((ants[:h] + (leaf,) + ants[h + 1:], succ),))
         if isinstance(succ, Or):
-            for i, leaf in enumerate(_or_leaves(succ)):
+            for i, leaf in enumerate(_leaves(succ, Or)):
                 yield ("or_right", i, ((ants, leaf),))
         if isinstance(succ, Prod):
             for k in range(n + 1):
@@ -323,7 +318,7 @@ class _TwoSidedSearch:
         if not isinstance(chain, And):
             return subtree
         here = Sequent(ants[:h] + (chain,) + ants[h + 1:], succ)
-        left_count = len(_and_leaves(chain.left))
+        left_count = len(_leaves(chain.left, And))
         if i < left_count:
             child = self._expand_and_left(ants, succ, h, chain.left, i, subtree)
             return ProofTree(here, "(&->)_1", (child,))
@@ -334,7 +329,7 @@ class _TwoSidedSearch:
         if not isinstance(chain, Or):
             return subtree
         here = Sequent(ants, chain)
-        left_count = len(_or_leaves(chain.left))
+        left_count = len(_leaves(chain.left, Or))
         if i < left_count:
             child = self._expand_or_right(ants, chain.left, i, subtree)
             return ProofTree(here, "(->+)_1", (child,))

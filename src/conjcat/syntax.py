@@ -150,9 +150,10 @@ def conjunct_members(c: Category) -> tuple[Prim, ...]:
     raise ValueError(f"not a conjunct: {category_str(c)}")
 
 
-def make_conjunct(prims: Iterable[Prim]) -> Category:
-    """Right-leaning `&`-combination; a single member stays bare."""
-    members = list(prims)
+def make_conjunct(parts: Iterable[Category]) -> Category:
+    """Right-leaning `&`-combination; a single member stays bare.  A
+    conjunct has primitive members, a lexicon entry any categories."""
+    members = list(parts)
     if not members:
         raise ValueError("conjunct needs at least one member")
     out = members[-1]
@@ -218,26 +219,28 @@ def substitute_primitive(c: Category, p: Prim, d: Category) -> Category:
 _CAT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(->|\|-|[()\\/.&+,]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str, token_re: re.Pattern) -> list[tuple[str, int]]:
+    """Tokens with their positions; each alternative of `token_re` is one
+    capturing group after optional leading whitespace."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _CAT_TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None or m.end() == pos:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        tokens.append((m.group(1) or m.group(2), m.start(1) if m.group(1) else m.start(2)))
+        tokens.append((m.group(m.lastindex), m.start(m.lastindex)))
         pos = m.end()
     return tokens
 
 
 class _TokenStream:
-    def __init__(self, text: str):
+    def __init__(self, text: str, token_re: re.Pattern):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, token_re)
         self.index = 0
 
     def peek(self) -> Optional[str]:
@@ -336,7 +339,7 @@ def _parse_cat_or(ts: _TokenStream) -> Category:
 
 
 def parse_category(text: str) -> Category:
-    ts = _TokenStream(text)
+    ts = _TokenStream(text, _CAT_TOKEN_RE)
     out = _parse_cat_or(ts)
     ts.done()
     return out
@@ -432,7 +435,7 @@ def sequent_latex(s: Sequent) -> str:
 
 
 def parse_sequent(text: str) -> Sequent:
-    ts = _TokenStream(text)
+    ts = _TokenStream(text, _CAT_TOKEN_RE)
     antecedent = []
     if ts.peek() != "->":
         while True:
@@ -631,26 +634,7 @@ _FORMULA_TOKEN_RE = re.compile(
 _FORMULA_OPS = (("+", Plus), ("&", With), ("@", Par), ("*", Times))
 
 
-class _FormulaTokens(_TokenStream):
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        self.index = 0
-        pos = 0
-        while pos < len(text):
-            m = _FORMULA_TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            value = m.group(1) or m.group(2) or m.group(3)
-            self.tokens.append((value, m.start()))
-            pos = m.end()
-
-
-def _parse_formula_atom(ts: _FormulaTokens) -> Formula:
+def _parse_formula_atom(ts: _TokenStream) -> Formula:
     tok = ts.peek()
     if tok == "(":
         ts.next()
@@ -681,7 +665,7 @@ def _parse_formula_atom(ts: _FormulaTokens) -> Formula:
     raise ParseError(f"expected a formula, found {tok!r}", ts.pos())
 
 
-def _parse_formula(ts: _FormulaTokens, level: int) -> Formula:
+def _parse_formula(ts: _TokenStream, level: int) -> Formula:
     if level == len(_FORMULA_OPS):
         return _parse_formula_atom(ts)
     op, node = _FORMULA_OPS[level]
@@ -696,7 +680,7 @@ def _parse_formula(ts: _FormulaTokens, level: int) -> Formula:
 
 
 def parse_formula(text: str) -> Formula:
-    ts = _FormulaTokens(text)
+    ts = _TokenStream(text, _FORMULA_TOKEN_RE)
     out = _parse_formula(ts, 0)
     ts.done()
     return out
@@ -757,7 +741,7 @@ def macll_sequent_str(s: MacllSequent) -> str:
 
 
 def parse_macll_sequent(text: str) -> MacllSequent:
-    ts = _FormulaTokens(text)
+    ts = _TokenStream(text, _FORMULA_TOKEN_RE)
     ts.expect("|-")
     formulas = [_parse_formula(ts, 0)]
     while ts.peek() == ",":

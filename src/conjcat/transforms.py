@@ -196,13 +196,6 @@ def bundle_to_ccg(bundle: QuotientBundle) -> CCG:
 # Categorial -> Lambek with additive conjunction
 # ---------------------------------------------------------------------------
 
-def _and_chain(cats: list[Category]) -> Category:
-    out = cats[-1]
-    for cat in reversed(cats[:-1]):
-        out = And(cat, out)
-    return out
-
-
 def ccg_to_malc(g: CCG) -> LambekGrammar:
     """One lexicon entry per letter: the conjunction of all the letter's
     axiom categories (bare when there is just one).  Letters without
@@ -210,7 +203,7 @@ def ccg_to_malc(g: CCG) -> LambekGrammar:
     per_letter: dict[str, list[Category]] = {}
     for cat, sym in g.axioms:
         per_letter.setdefault(sym, []).append(cat)
-    lexicon = {sym: (_and_chain(cats),) for sym, cats in per_letter.items()}
+    lexicon = {sym: (make_conjunct(cats),) for sym, cats in per_letter.items()}
     return LambekGrammar(g.alphabet, lexicon, g.target, "MALC")
 
 

@@ -164,6 +164,38 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 2
 
 
+def test_budget_zero_is_honoured_and_negative_rejected(capsys, monkeypatch):
+    sequent = "p/p, p/p, p/p -> p/p"
+    code, _, err = run(capsys, "prove", "--calculus", "MALC*", sequent, "--budget", "0")
+    assert code == 3 and "budget" in err
+    code, _, err = run(capsys, "prove", "--calculus", "MALC*", sequent, "--budget", "-1")
+    assert code == 2 and "--budget" in err
+    code, _, err = run(capsys, "cvp", "member", "b?", "--budget", "0")
+    assert code == 3 and "budget" in err
+    code, _, _ = run(capsys, "cvp", "member", "b?", "--budget", "-1")
+    assert code == 2
+    monkeypatch.setenv("CONJCAT_BUDGET", "-1")
+    code, _, err = run(capsys, "prove", "--calculus", "MALC*", "p -> p")
+    assert code == 2 and "CONJCAT_BUDGET" in err
+
+
+def test_budget_env_var_is_read_only_by_searches(capsys, monkeypatch, tmp_path,
+                                                 three_block_ccg_file,
+                                                 three_block_cg_file):
+    monkeypatch.setenv("CONJCAT_BUDGET", "not-a-number")
+    for path in (three_block_ccg_file, three_block_cg_file):
+        code, out, _ = run(capsys, "member", "--grammar", path, "bacaca")
+        assert code == 0 and out == "member\n"
+        code, out, _ = run(capsys, "enumerate", "--grammar", path, "--max-len", "6")
+        assert code == 0 and out == "bacaca\n"
+    code, out, _ = run(capsys, "cvp", "member", "b?")
+    assert code == 0
+    lambek = tmp_path / "three.lambek"
+    lambek.write_text(dumps_grammar(ccg_to_malc(samples.three_block_ccg())))
+    code, _, err = run(capsys, "member", "--grammar", str(lambek), "bacaca")
+    assert code == 2 and "CONJCAT_BUDGET" in err
+
+
 def test_usage_error(capsys):
     assert main(["member"]) == 2
     assert main(["no-such-command"]) == 2

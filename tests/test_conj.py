@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,9 +7,11 @@ import conjcat.samples as samples
 from conjcat.conj import (CGDerivation, cg_derivation, cg_enumerate, cg_member,
                           check_odd_normal_form, nullable_nonterminals,
                           replay_derivation)
+from conjcat.ccg import ccg_member
 from conjcat.cvp import cvp_grammar
-from conjcat.errors import UndeclaredSymbolError
+from conjcat.errors import GrammarError, UndeclaredSymbolError
 from conjcat.grammars import conj_grammar
+from conjcat.transforms import ccg_to_cg
 
 
 def three_block_predicate(w):
@@ -59,6 +62,14 @@ def test_membership_rejects_undeclared_symbols():
         cg_member(samples.three_block_conj(), "bxa")
 
 
+def test_unknown_start_symbol_is_an_error():
+    g = samples.three_block_conj()
+    with pytest.raises(GrammarError):
+        cg_member(g, "bacaca", start="Z")
+    with pytest.raises(GrammarError):
+        cg_derivation(g, "bacaca", start="Z")
+
+
 def test_membership_with_alternate_start():
     g = samples.three_block_conj()
     assert cg_member(g, "aa", start="A")
@@ -67,14 +78,21 @@ def test_membership_with_alternate_start():
 
 
 def test_fallback_chart_on_terminal_free_bodies():
-    # unit conjuncts force the bottom-up fixpoint path
-    g = conj_grammar("S", [("S", [["A"], ["B"]]),
-                           ("A", [["B"]]),
-                           ("B", [["A"]]),
-                           ("A", [["a"]]),
-                           ("B", [["a"]])], terminals={"a"})
-    assert cg_member(g, "a")
-    assert not cg_member(g, "aa")
+    cyclic_units = conj_grammar("S", [("S", [["A"], ["B"]]),
+                                      ("A", [["B"]]),
+                                      ("B", [["A"]]),
+                                      ("A", [["a"]]),
+                                      ("B", [["a"]])], terminals={"a"})
+    # P and Q on the span of one `a` depend on each other; the "no" for Q
+    # read while P was still open must not survive P turning true.
+    mutual_units = conj_grammar("T", [("T", [["P", "Q"], ["Q", "P"]]),
+                                      ("P", [["Q"]]),
+                                      ("P", [["a"]]),
+                                      ("Q", [["P"]])], terminals={"a"})
+    for g, member, non_member in [(cyclic_units, "a", "aa"),
+                                  (mutual_units, "aa", "a")]:
+        assert cg_member(g, member)
+        assert not cg_member(g, non_member)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -175,6 +193,50 @@ def test_conjunction_semantics():
         w = "a" * length
         both = cg_member(g, w, start="A") and cg_member(g, w, start="B")
         assert cg_member(g, w) == both
+
+
+# --- differential: chart against the string-set fixpoint --------------------
+
+def random_conj_grammar(rng):
+    """Small grammars rich in unit conjuncts, empty bodies and same-span
+    cycles over nonterminals S, A, B, C and terminals a, b."""
+    nonterminals = ["S", "A", "B", "C"]
+    symbols = nonterminals * 2 + ["a", "b"]
+    rules = []
+    for _ in range(rng.randint(2, 8)):
+        bodies = [[rng.choice(symbols) for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))]
+                  for _ in range(rng.choice([1, 1, 2, 2, 3]))]
+        rules.append((rng.choice(nonterminals), bodies))
+    return conj_grammar("S", rules, terminals={"a", "b"})
+
+
+def test_chart_matches_enumeration_on_random_grammars():
+    words = ["".join(c) for n in range(5) for c in itertools.product("ab", repeat=n)]
+    for seed in range(300):
+        g = random_conj_grammar(random.Random(seed))
+        for nt in sorted(g.nonterminals):
+            language = cg_enumerate(g, 4, start=nt)
+            for w in words:
+                assert cg_member(g, w, start=nt) == (w in language), (seed, nt, w)
+                if w in language:
+                    d = cg_derivation(g, w, start=nt)
+                    assert replay_derivation(g, d, start=nt), (seed, nt, w)
+
+
+def test_translated_ccg_on_a_long_word_matches_the_categorial_chart():
+    ccg = samples.three_block_ccg()
+    g = ccg_to_cg(ccg)
+    n = 30
+
+    def blocks(x, y, z):
+        return "b" + "a" * x + "c" + "a" * y + "c" + "a" * z
+
+    member = blocks(n, n, n)
+    assert len(member) == 93
+    near_misses = [blocks(n + 1, n, n), blocks(n, n + 1, n), blocks(n, n, n + 1),
+                   blocks(n, n, n - 1), member[:n] + "ca" + member[n + 2:]]
+    for w in [member] + near_misses:
+        assert cg_member(g, w) == ccg_member(ccg, w) == (w == member), w
 
 
 # --- derivations ---------------------------------------------------------------

@@ -59,6 +59,15 @@ def test_parse_errors_carry_position():
         parse_category("p q")
 
 
+def test_parse_error_positions_point_at_the_token():
+    for parse, text, at in [(parse_category, "p /  )", 5),
+                            (parse_formula, "p *  )", 5),
+                            (parse_macll_sequent, "|- p  q", 6)]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.pos == at, text
+
+
 def test_parse_sequent():
     seq = parse_sequent(r"t\t, r\r -> q")
     assert seq == Sequent((LDiv(t, t), LDiv(r, r)), q)
