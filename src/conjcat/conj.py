@@ -180,9 +180,11 @@ class _Chart:
 
     def _match_splits(self, body: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
         """Leftmost split of w[i:j] into the body items, or None."""
+        last = len(body) - 1
+        table = self.table
 
         def walk(idx, pos):
-            if idx == len(body):
+            if idx > last:
                 return [] if pos == j else None
             sym = body[idx]
             if sym in self.g.terminals:
@@ -191,8 +193,16 @@ class _Chart:
                     if rest is not None:
                         return [(sym, pos, pos + 1)] + rest
                 return None
-            for mid in range(pos, j + 1):
-                if self.derives(sym, pos, mid):
+            # the last item must end the span; no other end point completes it
+            for mid in range(j if idx == last else pos, j + 1):
+                # A settled entry is read in place: most lookups hit, and a
+                # call each would cost more than the rest of the split search.
+                entry = table.get((sym, pos, mid), _PENDING)
+                if entry is _PENDING:
+                    found = self.derives(sym, pos, mid)
+                else:
+                    found = entry is not None
+                if found:
                     rest = walk(idx + 1, mid)
                     if rest is not None:
                         return [(sym, pos, mid)] + rest

@@ -3,7 +3,7 @@ one-sided cyclic calculus, plus grammar membership via proof search.
 
 Every inference rule's premises carry strictly fewer connectives than its
 conclusion, so plain memoized recursion terminates without loop checks.
-Two prunings keep desk-scale searches tractable, neither losing
+Three devices keep desk-scale searches tractable, none losing
 completeness:
 
 - a primitive-count necessary condition: counting occurrences per
@@ -11,13 +11,23 @@ completeness:
   choices widened to an interval), a derivable sequent must admit a zero
   balance;
 
-- additive rules fire in full bursts: a connective chain is decomposed
-  straight down to its non-additive leaves instead of one step at a
-  time.  Partial decompositions can always be permuted away (a chain
-  needed as a unit is matched by the identity axiom before any
-  decomposition), and skipping the intermediate chain states shrinks the
-  memoized search space combinatorially.  Returned proof trees re-expand
-  the bursts into single rule applications.
+- additive rules fire in full bursts: the (->&), (+->) and (->+) rules
+  decompose a connective chain straight down to its non-additive leaves
+  instead of one step at a time.  Partial decompositions can always be
+  permuted away (a chain needed as a unit is matched by the identity
+  axiom before any decomposition), and skipping the intermediate chain
+  states shrinks the memoized search space combinatorially;
+
+- (&->) is focused (Andreoli 1992): a `&`-chain in the antecedent stays
+  whole until one of its leaves becomes principal.  A division leaf is
+  chosen as the principal formula of (\\->) or (/->), a primitive leaf
+  only for the axiom, and a product or disjunction leaf replaces the
+  chain for the invertible rule that follows.  (&->) permutes below
+  every rule whose principal formula lies elsewhere, so nothing is lost,
+  and the states no longer multiply across chains.
+
+Returned proof trees re-expand bursts and focused steps into single rule
+applications.
 
 Memo entries record calculus-level facts, so a cache may be shared
 between calls and across threads; concurrent queries return the same
@@ -263,11 +273,6 @@ class _TwoSidedSearch:
                              for leaf in _leaves(ants[h], Or)))
                 return
         # choice rules
-        for h in range(n):
-            if isinstance(ants[h], And):
-                for i, leaf in enumerate(_leaves(ants[h], And)):
-                    yield ("and_left", (h, i),
-                           ((ants[:h] + (leaf,) + ants[h + 1:], succ),))
         if isinstance(succ, Or):
             for i, leaf in enumerate(_leaves(succ, Or)):
                 yield ("or_right", i, ((ants, leaf),))
@@ -278,28 +283,56 @@ class _TwoSidedSearch:
                 yield ("(->.)", k, ((ants[:k], succ.left), (ants[k:], succ.right)))
         for h in range(n):
             a = ants[h]
-            if isinstance(a, LDiv):
-                for l in range(h + 1):
-                    if restricted and l == h:
-                        continue
-                    yield ("(\\->)", (h, l),
-                           ((ants[l:h], a.den),
-                            (ants[:l] + (a.num,) + ants[h + 1:], succ)))
-            elif isinstance(a, RDiv):
-                for r in range(h + 1, n + 1):
-                    if restricted and r == h + 1:
-                        continue
-                    yield ("(/->)", (h, r),
-                           ((ants[h + 1:r], a.den),
-                            (ants[:h] + (a.num,) + ants[r:], succ)))
+            if not isinstance(a, And):
+                yield from self._division_left(ants, succ, h, a)
+                continue
+            # Focused (&->): a leaf of the chain is chosen only where it
+            # becomes principal.  "and_left" records (h, leaf index, rule),
+            # its premises are those of that rule, and rule None means the
+            # leaf simply replaces the chain.
+            for i, leaf in enumerate(_leaves(a, And)):
+                if isinstance(leaf, Prim):
+                    if n == 1 and leaf == succ:
+                        yield ("and_left", (h, i, "axiom"), ())
+                elif isinstance(leaf, (LDiv, RDiv)):
+                    for rule, _, premises in self._division_left(ants, succ, h, leaf):
+                        yield ("and_left", (h, i, rule), premises)
+                else:
+                    yield ("and_left", (h, i, None),
+                           ((ants[:h] + (leaf,) + ants[h + 1:], succ),))
 
-    # -- proof reconstruction (bursts re-expanded into single steps) --------
+    def _division_left(self, ants, succ, h, a):
+        """(\\->) or (/->) with `a` as the principal formula in place of
+        ants[h], one expansion per split point."""
+        restricted = self.calculus.lambek_restriction
+        if isinstance(a, LDiv):
+            for l in range(h + 1):
+                if restricted and l == h:
+                    continue
+                yield ("(\\->)", (h, l),
+                       ((ants[l:h], a.den),
+                        (ants[:l] + (a.num,) + ants[h + 1:], succ)))
+        elif isinstance(a, RDiv):
+            for r in range(h + 1, len(ants) + 1):
+                if restricted and r == h + 1:
+                    continue
+                yield ("(/->)", (h, r),
+                       ((ants[h + 1:r], a.den),
+                        (ants[:h] + (a.num,) + ants[r:], succ)))
+
+    # -- proof reconstruction: the and_right, or_left and or_right bursts,
+    # and the focused and_left steps, re-expanded into single steps -------
 
     def rebuild(self, ants: tuple[Category, ...], succ: Category) -> ProofTree:
         rule, data, premises = self.memo[(ants, succ)]
         if rule == "and_left":
-            h, i = data
-            subtree = self.rebuild(*premises[0])
+            h, i, principal = data
+            if principal is None:
+                subtree = self.rebuild(*premises[0])
+            else:
+                leaf = _leaves(ants[h], And)[i]
+                subtree = ProofTree(Sequent(ants[:h] + (leaf,) + ants[h + 1:], succ),
+                                    principal, tuple(self.rebuild(*p) for p in premises))
             return self._expand_and_left(ants, succ, h, ants[h], i, subtree)
         if rule == "or_right":
             subtree = self.rebuild(*premises[0])

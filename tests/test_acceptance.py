@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Set CONJCAT_FULL_ACCEPTANCE=1 to replace the spot-checked parts of
-criterion 5 with the exhaustive length-6 sweep (takes on the order of an
-hour; the default spot-checked version fits the stated budgets).
+criterion 5 with the exhaustive length-6 sweep (about 40 s on a 2-core
+Xeon with Python 3.11, against about 1 s for the spot checks).
 """
 
 import itertools

@@ -4,9 +4,9 @@ import random
 import pytest
 
 import conjcat.samples as samples
-from conjcat.conj import (CGDerivation, cg_derivation, cg_enumerate, cg_member,
-                          check_odd_normal_form, nullable_nonterminals,
-                          replay_derivation)
+from conjcat.conj import (CGDerivation, _Chart, cg_derivation, cg_enumerate,
+                          cg_member, check_odd_normal_form,
+                          nullable_nonterminals, replay_derivation)
 from conjcat.ccg import ccg_member
 from conjcat.cvp import cvp_grammar
 from conjcat.errors import GrammarError, UndeclaredSymbolError
@@ -93,6 +93,17 @@ def test_fallback_chart_on_terminal_free_bodies():
                                   (mutual_units, "aa", "a")]:
         assert cg_member(g, member)
         assert not cg_member(g, non_member)
+
+
+def test_right_recursion_fills_a_linear_table():
+    # Only the span's end can close a body's last item, so each suffix of
+    # the word gets one entry, not one per end point.
+    g = conj_grammar("S", [("S", [["a", "S"]]), ("S", [["X"]]), ("X", [["b"]])],
+                     terminals={"a", "b"})
+    w = "a" * 1000 + "b"
+    chart = _Chart(g, w)
+    assert chart.derives("S", 0, len(w))
+    assert len(chart.table) <= 2 * len(w)
 
 
 # --- enumeration -------------------------------------------------------------

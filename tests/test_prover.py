@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 
@@ -5,15 +6,16 @@ import pytest
 
 import conjcat.samples as samples
 from conjcat.errors import BudgetError, CalculusError
-from conjcat.fuzz import conjunction_goals, derivable_pool, random_sequent
+from conjcat.fuzz import (conjunction_goals, derivable_pool, random_category,
+                          random_sequent)
 from conjcat.grammars import CALCULI, lambek_grammar
 from conjcat.prover import (ProofTree, SearchCache, categories_equivalent,
                             derivable, lambek_enumerate, lambek_member,
                             macll_derivable, prove, prove_macll)
 from conjcat.syntax import (And, BOT, LDiv, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
-                            macll_image, macll_negate, parse_category,
-                            parse_macll_sequent, parse_sequent,
+                            macll_image, macll_negate, make_conjunct,
+                            parse_category, parse_macll_sequent, parse_sequent,
                             substitute_primitive)
 
 S = parse_sequent
@@ -309,6 +311,43 @@ def test_fuzzed_trees_replay():
         tree = prove("MALC*", seq, cache=cache)
         assert tree is not None and tree.conclusion == seq
         assert replay_proof("MALC*", tree)
+
+
+def _chain_sequent(rng):
+    """1-3 antecedents, each an &-chain of 1-4 random leaves."""
+    ants = tuple(make_conjunct(random_category(rng, rng.randint(0, 2))
+                               for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 3)))
+    return Sequent(ants, random_category(rng, rng.randint(0, 3)))
+
+
+def _lexicon_sequents(g, max_len):
+    for length in range(max_len + 1):
+        for w in itertools.product(sorted(g.lexicon), repeat=length):
+            for combo in itertools.product(*(g.lexicon[ch] for ch in w)):
+                yield Sequent(combo, g.target)
+
+
+def test_focused_and_left_agrees_with_one_sided_search():
+    """&-chains on the left are where the two-sided search focuses; the
+    one-sided prover decomposes them rule by rule and is the oracle."""
+    from conjcat.transforms import add_empty_string, bundle_to_ccg, ccg_to_malc
+    rng = random.Random(71)
+    seqs = [_chain_sequent(rng) for _ in range(300)]
+    division = ccg_to_malc(samples.three_block_ccg())
+    seqs += _lexicon_sequents(division, 3)
+    seqs += _lexicon_sequents(add_empty_string(ccg_to_malc(bundle_to_ccg(
+        samples.three_block_bundle()))), 2)
+    cache = SearchCache()
+    proved = 0
+    for seq in seqs:
+        two = derivable("MALC*", seq, cache=cache)
+        assert two == macll_derivable(macll_image(seq), cache=cache), seq
+        if two:
+            tree = prove("MALC*", seq, cache=cache)
+            assert tree.conclusion == seq and replay_proof("MALC*", tree), seq
+            proved += 1
+    assert proved >= 30
 
 
 def test_fuzzed_macll_trees_replay():
