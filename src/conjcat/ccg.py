@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GrammarError
-from .grammars import CCG
+from .errors import GrammarError, chart_too_deep
+from .grammars import CCG, chart_index
 from .syntax import (And, Category, LDiv, RDiv, category_latex, category_str,
                      conjunct_members, subexpressions)
 
@@ -70,22 +70,41 @@ def _ccg_node_latex(node: CCGNode, w: str) -> str:
     return rf"\infer{{{prop}}}{{{premises}}}"
 
 
-class _CcgChart:
-    def __init__(self, g: CCG, w: str):
-        self.g = g
-        self.w = w
-        self.axioms_at: dict[int, tuple[Category, ...]] = {
-            i: g.axioms_for(ch) for i, ch in enumerate(w)}
-        universe = sorted(ccg_universe(g), key=category_str)
-        # producers[num] lists division categories in the universe whose
-        # numerator is `num`; conjunct members drive the and-introduction.
-        self.producers: dict[Category, list[tuple[str, Category, Category]]] = {}
-        for cat in universe:
+class _CcgIndex:
+    """What every chart on one grammar shares: the universe, its order by
+    `category_str`, the divisions by numerator, the axioms by symbol and
+    the conjunct members of each `And`.  Built on a grammar object's first
+    query (`grammars.chart_index`)."""
+
+    def __init__(self, g: CCG):
+        self.universe = ccg_universe(g)
+        self.order: tuple[Category, ...] = tuple(sorted(self.universe, key=category_str))
+        # producers[num]: the division categories with numerator `num`, in order
+        producers: dict[Category, list[tuple[str, Category, Category]]] = {}
+        for cat in self.order:
             if isinstance(cat, LDiv):
-                self.producers.setdefault(cat.num, []).append(("left_div", cat.den, cat))
+                producers.setdefault(cat.num, []).append(("left_div", cat.den, cat))
             elif isinstance(cat, RDiv):
-                self.producers.setdefault(cat.num, []).append(("right_div", cat.den, cat))
-        self.universe = frozenset(universe)
+                producers.setdefault(cat.num, []).append(("right_div", cat.den, cat))
+        self.producers: dict[Category, tuple[tuple[str, Category, Category], ...]] = {
+            num: tuple(entries) for num, entries in producers.items()}
+        # tuples, not sets: the chart mostly asks about these very objects,
+        # which a tuple finds by identity without the Python-level __hash__
+        self.axioms: dict[str, tuple[Category, ...]] = {
+            sym: g.axioms_for(sym) for sym in g.alphabet}
+        self.members: dict[Category, tuple[Category, ...]] = {
+            cat: conjunct_members(cat) for cat in self.order if isinstance(cat, And)}
+
+
+class _CcgChart:
+    """The span table of one word; the rest is the grammar's shared index."""
+
+    def __init__(self, g: CCG, w: str):
+        index = chart_index(g, _CcgIndex)
+        self.axioms = index.axioms
+        self.members = index.members
+        self.producers = index.producers
+        self.w = w
         self.table: dict[tuple[Category, int, int], Optional[tuple]] = {}
 
     def derives(self, cat: Category, i: int, j: int) -> bool:
@@ -99,10 +118,10 @@ class _CcgChart:
         return back is not None
 
     def _search(self, cat: Category, i: int, j: int) -> Optional[tuple]:
-        if j - i == 1 and cat in self.axioms_at[i]:
+        if j - i == 1 and cat in self.axioms[self.w[i]]:
             return ("axiom",)
         if isinstance(cat, And):
-            members = conjunct_members(cat)
+            members = self.members[cat]
             if all(self.derives(p, i, j) for p in members):
                 return ("and_intro", members)
         for rule, den, divcat in self.producers.get(cat, ()):
@@ -141,21 +160,27 @@ def _check_word(g: CCG, w: str):
 def ccg_derive(g: CCG, category: Category, w: str) -> Optional[CCGDerivation]:
     """A derivation of `category(w)`, or None when there is none."""
     _check_word(g, w)
-    chart = _CcgChart(g, w)
-    if category not in chart.universe:
+    if category not in chart_index(g, _CcgIndex).universe:
         raise GrammarError(
             f"category {category_str(category)} lies outside the grammar's "
             f"universe; nothing outside it is derivable")
-    if not chart.derives(category, 0, len(w)):
-        return None
-    return CCGDerivation(w, chart.tree(category, 0, len(w)))
+    chart = _CcgChart(g, w)
+    try:
+        if not chart.derives(category, 0, len(w)):
+            return None
+        return CCGDerivation(w, chart.tree(category, 0, len(w)))
+    except RecursionError:
+        raise chart_too_deep(w) from None
 
 
 def ccg_member(g: CCG, w: str) -> bool:
     """Does the grammar derive `target(w)`?"""
     _check_word(g, w)
     chart = _CcgChart(g, w)
-    return chart.derives(g.target, 0, len(w))
+    try:
+        return chart.derives(g.target, 0, len(w))
+    except RecursionError:
+        raise chart_too_deep(w) from None
 
 
 def ccg_languages(g: CCG, max_len: int) -> dict[Category, frozenset[str]]:
@@ -164,13 +189,12 @@ def ccg_languages(g: CCG, max_len: int) -> dict[Category, frozenset[str]]:
     Every proposition in a derivation concerns a substring of the derived
     string, so the cap is exact.
     """
-    universe = sorted(ccg_universe(g), key=category_str)
-    languages: dict[Category, set[str]] = {cat: set() for cat in universe}
+    index = chart_index(g, _CcgIndex)
+    languages: dict[Category, set[str]] = {cat: set() for cat in index.order}
     for cat, sym in g.axioms:
         if max_len >= 1:
             languages[cat].add(sym)
-    divisions = [cat for cat in universe if isinstance(cat, (LDiv, RDiv))]
-    conjuncts = [(cat, conjunct_members(cat)) for cat in universe if isinstance(cat, And)]
+    divisions = [cat for cat in index.order if isinstance(cat, (LDiv, RDiv))]
 
     changed = True
     while changed:
@@ -187,7 +211,7 @@ def ccg_languages(g: CCG, max_len: int) -> dict[Category, frozenset[str]]:
             if new:
                 languages[num].update(new)
                 changed = True
-        for cat, members in conjuncts:
+        for cat, members in index.members.items():
             # a member primitive outside the universe is underivable
             shared = languages.get(members[0], set()).copy()
             for p in members[1:]:
@@ -206,27 +230,26 @@ def ccg_enumerate(g: CCG, max_len: int) -> frozenset[str]:
 
 def replay_derivation(g: CCG, d: CCGDerivation) -> bool:
     """Check a derivation against the three inference rules and the axioms."""
-    universe = ccg_universe(g)
     root = d.root
     if root.span != (0, len(d.word)):
         return False
-    return _replay(g, universe, d.word, root)
+    return _replay(chart_index(g, _CcgIndex), d.word, root)
 
 
-def _replay(g: CCG, universe, w: str, node: CCGNode) -> bool:
+def _replay(index: _CcgIndex, w: str, node: CCGNode) -> bool:
     i, j = node.span
-    if not (0 <= i < j <= len(w)) or node.category not in universe:
+    if not (0 <= i < j <= len(w)) or node.category not in index.universe:
         return False
     if node.rule == "axiom":
-        return j == i + 1 and node.category in g.axioms_for(w[i])
+        return j == i + 1 and node.category in index.axioms.get(w[i], ())
     if node.rule == "and_intro":
-        members = conjunct_members(node.category)
+        members = index.members.get(node.category, ())
         if len(node.children) != len(members) or len(members) < 2:
             return False
         for child, member in zip(node.children, members):
             if child.category != member or child.span != (i, j):
                 return False
-        return all(_replay(g, universe, w, c) for c in node.children)
+        return all(_replay(index, w, c) for c in node.children)
     if node.rule in ("left_div", "right_div"):
         if len(node.children) != 2:
             return False
@@ -241,5 +264,5 @@ def _replay(g: CCG, universe, w: str, node: CCGNode) -> bool:
             div = first.category
             ok = (isinstance(div, RDiv) and div.den == second.category
                   and div.num == node.category)
-        return ok and all(_replay(g, universe, w, c) for c in node.children)
+        return ok and all(_replay(index, w, c) for c in node.children)
     return False

@@ -9,8 +9,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetError, GrammarError, UndeclaredSymbolError
-from .grammars import ConjGrammar, Rule
+from .errors import (BudgetError, GrammarError, UndeclaredSymbolError,
+                     chart_too_deep)
+from .grammars import ConjGrammar, Rule, chart_index
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -96,6 +97,16 @@ def _cg_node_latex(node: CGNode, w: str) -> str:
 # Membership
 # ---------------------------------------------------------------------------
 
+def _rules_by_head(g: ConjGrammar) -> dict[str, tuple[tuple[int, Rule], ...]]:
+    """The grammar's chart index: each head's rules in declaration order,
+    with their indices.  Built on a grammar object's first query
+    (`grammars.chart_index`)."""
+    by_head: dict[str, list[tuple[int, Rule]]] = {}
+    for idx, rule in enumerate(g.rules):
+        by_head.setdefault(rule.head, []).append((idx, rule))
+    return {head: tuple(rules) for head, rules in by_head.items()}
+
+
 # Marks a table entry whose computation is still on the call stack.
 _PENDING = object()
 
@@ -124,9 +135,7 @@ class _Chart:
     def __init__(self, g: ConjGrammar, w: str):
         self.g = g
         self.w = w
-        self.rules_by_head: dict[str, list[tuple[int, Rule]]] = {}
-        for idx, rule in enumerate(g.rules):
-            self.rules_by_head.setdefault(rule.head, []).append((idx, rule))
+        self.rules_by_head = chart_index(g, _rules_by_head)
         self.table: dict[tuple[str, int, int], object] = {}
         # The span of the innermost outermost query, and about its current
         # pass: whether it read a pending entry, whether an entry of the
@@ -235,7 +244,11 @@ def _checked_start(g: ConjGrammar, w: str, start: Optional[str]) -> str:
 def cg_member(g: ConjGrammar, w: str, start: Optional[str] = None) -> bool:
     """Does the grammar derive `w` from `start` (default: the start symbol)?"""
     start = _checked_start(g, w, start)
-    return _Chart(g, w).derives(start, 0, len(w))
+    chart = _Chart(g, w)
+    try:
+        return chart.derives(start, 0, len(w))
+    except RecursionError:
+        raise chart_too_deep(w) from None
 
 
 def cg_derivation(g: ConjGrammar, w: str,
@@ -252,9 +265,12 @@ def cg_derivation(g: ConjGrammar, w: str,
     """
     start = _checked_start(g, w, start)
     chart = _Chart(g, w)
-    if not chart.derives(start, 0, len(w)):
-        return None
-    return CGDerivation(w, chart.tree(start, 0, len(w)))
+    try:
+        if not chart.derives(start, 0, len(w)):
+            return None
+        return CGDerivation(w, chart.tree(start, 0, len(w)))
+    except RecursionError:
+        raise chart_too_deep(w) from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,19 @@ def _check_symbol(sym: str, role: str):
         raise GrammarError(f"{role} must be a single printable symbol: {sym!r}")
 
 
+def chart_index(g, build):
+    """`build(g)`, computed on the first call for the grammar object `g`
+    and kept in its `__dict__`: grammar-level tables that every chart on
+    `g` shares and none changes.  The slot is not a dataclass field, so
+    `==`, `hash` and `repr` ignore it.  Threads racing on the first call
+    may each build a value; `setdefault` hands all of them the first one
+    stored."""
+    index = g.__dict__.get("_chart_index")
+    if index is None:
+        index = g.__dict__.setdefault("_chart_index", build(g))
+    return index
+
+
 @dataclass(frozen=True)
 class Rule:
     """One grammar rule: a head and one or more conjunct bodies.

@@ -6,7 +6,7 @@ import conjcat.samples as samples
 from conjcat.ccg import (CCGDerivation, ccg_derive, ccg_enumerate, ccg_extend,
                          ccg_languages, ccg_member, ccg_universe,
                          replay_derivation)
-from conjcat.errors import GrammarError
+from conjcat.errors import BudgetError, GrammarError
 from conjcat.grammars import ccg
 from conjcat.syntax import (And, Category, LDiv, Prim, RDiv, category_str,
                             conjunct_members, is_conjunct, parse_category)
@@ -64,6 +64,16 @@ def test_derive_subtree_example():
     first, second = d.root.children
     assert first.category == parse_category("p/q") and first.span == (0, 1)
     assert second.category == q and second.span == (1, 3)
+
+
+def test_chart_recursion_is_a_budget_error_not_a_no():
+    g = ccg("s", [(RDiv(s, s), "a"), (s, "b")])
+    deep = "a" * 12000 + "b"
+    with pytest.raises(BudgetError, match="length 12001"):
+        ccg_member(g, deep)
+    with pytest.raises(BudgetError, match="length 12001"):
+        ccg_derive(g, s, deep)
+    assert ccg_member(g, "a" * 3000 + "b")
 
 
 def test_derive_requires_universe_membership():

@@ -242,3 +242,17 @@ def test_member_derivation_flag_rejects_lambek(capsys, tmp_path):
                          "--output", "json", "--derivation")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Lambek" in err and "derivation" in err
+
+
+def test_member_chart_recursion_exits_3(capsys, tmp_path):
+    # A chart that runs out of stack is an exhausted budget (exit 3), not
+    # "not a member" (exit 1).
+    path = tmp_path / "right.cg"
+    path.write_text("kind: cg\nterminals: a b\nstart: S\n"
+                    "S -> 'a' S ;\nS -> X ;\nX -> 'b' ;\n")
+    code, out, err = run(capsys, "member", "--grammar", str(path), "a" * 4000 + "b")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted:") and "4001" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "member", "--grammar", str(path), "a" * 3000 + "b")
+    assert code == 0 and out == "member\n"

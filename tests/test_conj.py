@@ -9,7 +9,7 @@ from conjcat.conj import (CGDerivation, _Chart, cg_derivation, cg_enumerate,
                           nullable_nonterminals, replay_derivation)
 from conjcat.ccg import ccg_member
 from conjcat.cvp import cvp_grammar
-from conjcat.errors import GrammarError, UndeclaredSymbolError
+from conjcat.errors import BudgetError, GrammarError, UndeclaredSymbolError
 from conjcat.grammars import conj_grammar
 from conjcat.transforms import ccg_to_cg
 
@@ -104,6 +104,21 @@ def test_right_recursion_fills_a_linear_table():
     chart = _Chart(g, w)
     assert chart.derives("S", 0, len(w))
     assert len(chart.table) <= 2 * len(w)
+
+
+def test_chart_recursion_is_a_budget_error_not_a_no():
+    # The chart recurses about once a letter here, so a long enough word
+    # runs out of stack; that must not read as "not a member".
+    g = conj_grammar("S", [("S", [["a", "S"]]), ("S", [["X"]]), ("X", [["b"]])],
+                     terminals={"a", "b"})
+    deep = "a" * 4000 + "b"
+    for query in (cg_member, cg_derivation):
+        with pytest.raises(BudgetError, match="length 4001"):
+            query(g, deep)
+    # The index was built before the chart recursed, and it still serves.
+    assert "_chart_index" in vars(g)
+    assert cg_member(g, "a" * 3000 + "b")
+    assert not cg_member(g, "a" * 3000)
 
 
 # --- enumeration -------------------------------------------------------------
