@@ -288,7 +288,7 @@ def cg_enumerate(g: ConjGrammar, max_len: int,
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    start = g.start if start is None else start
+    start = _checked_start(g, "", start)
     languages: dict[str, set[str]] = {nt: set() for nt in g.nonterminals}
 
     def body_language(body: tuple[str, ...]) -> set[str]:
@@ -315,7 +315,7 @@ def cg_enumerate(g: ConjGrammar, max_len: int,
                 changed = True
         if sum(len(s) for s in languages.values()) > budget:
             raise BudgetError("enumeration exceeded its string budget")
-    return frozenset(languages.get(start, set()))
+    return frozenset(languages[start])
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ completeness:
   choices widened to an interval), a derivable sequent must admit a zero
   balance;
 
-- additive rules fire in full bursts: the (->&), (+->) and (->+) rules
-  decompose a connective chain straight down to its non-additive leaves
-  instead of one step at a time.  Partial decompositions can always be
-  permuted away (a chain needed as a unit is matched by the identity
-  axiom before any decomposition), and skipping the intermediate chain
-  states shrinks the memoized search space combinatorially;
+- (->+) fires as a burst: a `+`-succedent chain is decomposed straight
+  down to the chosen leaf instead of one step at a time.  Partial choices
+  can be permuted away (a chain needed as a unit is matched by the
+  identity axiom before any choice), and single (->+) steps would rerun
+  the left rules on every sub-chain, which made the criterion-6 and
+  disjunction-grammar tests about 13% slower.  The invertible (->&) and
+  (+->) are single steps: they add one memo entry per chain link and
+  measured neutral;
 
 - (&->) is focused (Andreoli 1992): a `&`-chain in the antecedent stays
   whole until one of its leaves becomes principal.  A division leaf is
@@ -192,6 +194,45 @@ def _balanced(total: _Interval) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The search loop
+# ---------------------------------------------------------------------------
+
+class _Search:
+    """Memoized backward search.  A subclass gives the goal shape: its memo
+    key (`canonical`), `size`, `_maybe_balanced`, `_expansions` as
+    `(rule, data, premises)` with goals as premises, and `rebuild`."""
+
+    def __init__(self, table: str, budget: int, cache: SearchCache):
+        self.budget = budget
+        self.memo = cache.table(table)
+        self.intervals = cache.intervals
+
+    def canonical(self, goal):
+        return goal
+
+    def derivable(self, goal) -> bool:
+        key = self.canonical(goal)
+        hit = self.memo.get(key, _MISS)
+        if hit is not _MISS:
+            return hit is not None
+        if not self._maybe_balanced(key):
+            self.memo[key] = None
+            return False
+        size = self.size(key)
+        for rule, data, premises in self._expansions(key):
+            self.budget -= 1
+            if self.budget < 0:
+                raise BudgetError("proof search exhausted its node budget")
+            assert all(self.size(p) < size for p in premises), \
+                "premise must lose a connective"
+            if all(self.derivable(p) for p in premises):
+                self.memo[key] = (rule, data, premises)
+                return True
+        self.memo[key] = None
+        return False
+
+
+# ---------------------------------------------------------------------------
 # Two-sided search
 # ---------------------------------------------------------------------------
 
@@ -205,45 +246,42 @@ def _leaves(c: Category, op: type) -> tuple[Category, ...]:
     return (c,)
 
 
-class _TwoSidedSearch:
+def _descend(chain: Category, op: type, i: int, rule: str, place,
+             subtree: ProofTree) -> ProofTree:
+    """Wrap `subtree`, whose conclusion has leaf `i` of the `op`-chain in
+    the chain's place, in the `rule`_1/`rule`_2 steps down to that leaf;
+    `place(c)` is the conclusion with `c` in the chain's place."""
+    if not isinstance(chain, op):
+        return subtree
+    left_count = len(_leaves(chain.left, op))
+    if i < left_count:
+        step, child = "_1", _descend(chain.left, op, i, rule, place, subtree)
+    else:
+        step, child = "_2", _descend(chain.right, op, i - left_count, rule, place, subtree)
+    return ProofTree(place(chain), rule + step, (child,))
+
+
+class _TwoSidedSearch(_Search):
+    """Goals are `(antecedents, succedent)` pairs."""
+
     def __init__(self, calculus: Calculus, budget: int, cache: SearchCache):
+        super().__init__(calculus.name, budget, cache)
         self.calculus = calculus
-        self.budget = budget
-        self.memo = cache.table(calculus.name)
-        self.intervals = cache.intervals
 
-    def _spend(self):
-        self.budget -= 1
-        if self.budget < 0:
-            raise BudgetError("proof search exhausted its node budget")
+    @staticmethod
+    def size(goal: _SeqKey) -> int:
+        ants, succ = goal
+        return sum(c.size for c in ants) + succ.size
 
-    def derivable(self, ants: tuple[Category, ...], succ: Category) -> bool:
-        key = (ants, succ)
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit is not None
-        if not self._maybe_balanced(ants, succ):
-            self.memo[key] = None
-            return False
-        size = sum(c.size for c in ants) + succ.size
-        for rule, data, premises in self._expansions(ants, succ):
-            self._spend()
-            assert all(sum(c.size for c in p) + s.size < size
-                       for p, s in premises) or not premises, \
-                "premise must lose a connective"
-            if all(self.derivable(*p) for p in premises):
-                self.memo[key] = (rule, data, premises)
-                return True
-        self.memo[key] = None
-        return False
-
-    def _maybe_balanced(self, ants, succ) -> bool:
+    def _maybe_balanced(self, goal: _SeqKey) -> bool:
+        ants, succ = goal
         total = _neg(_category_interval(succ, self.intervals))
         for c in ants:
             total = _add(total, _category_interval(c, self.intervals))
         return _balanced(total)
 
-    def _expansions(self, ants: tuple[Category, ...], succ: Category):
+    def _expansions(self, goal: _SeqKey):
+        ants, succ = goal
         restricted = self.calculus.lambek_restriction
         n = len(ants)
         if n == 1 and ants[0] == succ:
@@ -263,14 +301,13 @@ class _TwoSidedSearch:
             yield ("(->/)", None, ((ants + (succ.den,), succ.num),))
             return
         if isinstance(succ, And):
-            yield ("and_right", None,
-                   tuple((ants, leaf) for leaf in _leaves(succ, And)))
+            yield ("(->&)", None, ((ants, succ.left), (ants, succ.right)))
             return
         for h in range(n):
             if isinstance(ants[h], Or):
-                yield ("or_left", h,
-                       tuple((ants[:h] + (leaf,) + ants[h + 1:], succ)
-                             for leaf in _leaves(ants[h], Or)))
+                a = ants[h]
+                yield ("(+->)", h, ((ants[:h] + (a.left,) + ants[h + 1:], succ),
+                                    (ants[:h] + (a.right,) + ants[h + 1:], succ)))
                 return
         # choice rules
         if isinstance(succ, Or):
@@ -320,69 +357,28 @@ class _TwoSidedSearch:
                        ((ants[h + 1:r], a.den),
                         (ants[:h] + (a.num,) + ants[r:], succ)))
 
-    # -- proof reconstruction: the and_right, or_left and or_right bursts,
-    # and the focused and_left steps, re-expanded into single steps -------
+    # -- proof reconstruction: the or_right burst and the focused and_left
+    # steps descend their chain in single steps down to the chosen leaf ---
 
-    def rebuild(self, ants: tuple[Category, ...], succ: Category) -> ProofTree:
-        rule, data, premises = self.memo[(ants, succ)]
+    def rebuild(self, goal: _SeqKey) -> ProofTree:
+        ants, succ = goal
+        rule, data, premises = self.memo[goal]
+        if rule == "or_right":
+            return _descend(succ, Or, data, "(->+)", lambda c: Sequent(ants, c),
+                            self.rebuild(premises[0]))
         if rule == "and_left":
             h, i, principal = data
             if principal is None:
-                subtree = self.rebuild(*premises[0])
+                subtree = self.rebuild(premises[0])
             else:
                 leaf = _leaves(ants[h], And)[i]
                 subtree = ProofTree(Sequent(ants[:h] + (leaf,) + ants[h + 1:], succ),
-                                    principal, tuple(self.rebuild(*p) for p in premises))
-            return self._expand_and_left(ants, succ, h, ants[h], i, subtree)
-        if rule == "or_right":
-            subtree = self.rebuild(*premises[0])
-            return self._expand_or_right(ants, succ, data, subtree)
-        if rule == "and_right":
-            subtrees = [self.rebuild(*p) for p in premises]
-            return self._expand_and_right(ants, succ, iter(subtrees))
-        if rule == "or_left":
-            h = data
-            subtrees = [self.rebuild(*p) for p in premises]
-            return self._expand_or_left(ants, succ, h, ants[h], iter(subtrees))
+                                    principal, tuple(self.rebuild(p) for p in premises))
+            return _descend(ants[h], And, i, "(&->)",
+                            lambda c: Sequent(ants[:h] + (c,) + ants[h + 1:], succ),
+                            subtree)
         return ProofTree(Sequent(ants, succ), rule,
-                         tuple(self.rebuild(*p) for p in premises))
-
-    def _expand_and_left(self, ants, succ, h, chain, i, subtree) -> ProofTree:
-        if not isinstance(chain, And):
-            return subtree
-        here = Sequent(ants[:h] + (chain,) + ants[h + 1:], succ)
-        left_count = len(_leaves(chain.left, And))
-        if i < left_count:
-            child = self._expand_and_left(ants, succ, h, chain.left, i, subtree)
-            return ProofTree(here, "(&->)_1", (child,))
-        child = self._expand_and_left(ants, succ, h, chain.right, i - left_count, subtree)
-        return ProofTree(here, "(&->)_2", (child,))
-
-    def _expand_or_right(self, ants, chain, i, subtree) -> ProofTree:
-        if not isinstance(chain, Or):
-            return subtree
-        here = Sequent(ants, chain)
-        left_count = len(_leaves(chain.left, Or))
-        if i < left_count:
-            child = self._expand_or_right(ants, chain.left, i, subtree)
-            return ProofTree(here, "(->+)_1", (child,))
-        child = self._expand_or_right(ants, chain.right, i - left_count, subtree)
-        return ProofTree(here, "(->+)_2", (child,))
-
-    def _expand_and_right(self, ants, chain, subtrees) -> ProofTree:
-        if not isinstance(chain, And):
-            return next(subtrees)
-        left = self._expand_and_right(ants, chain.left, subtrees)
-        right = self._expand_and_right(ants, chain.right, subtrees)
-        return ProofTree(Sequent(ants, chain), "(->&)", (left, right))
-
-    def _expand_or_left(self, ants, succ, h, chain, subtrees) -> ProofTree:
-        if not isinstance(chain, Or):
-            return next(subtrees)
-        left = self._expand_or_left(ants, succ, h, chain.left, subtrees)
-        right = self._expand_or_left(ants, succ, h, chain.right, subtrees)
-        here = Sequent(ants[:h] + (chain,) + ants[h + 1:], succ)
-        return ProofTree(here, "(+->)", (left, right))
+                         tuple(self.rebuild(p) for p in premises))
 
 
 def _resolve_calculus(calculus: Union[str, Calculus]) -> Calculus:
@@ -408,7 +404,7 @@ def derivable(calculus: Union[str, Calculus], s: Sequent,
     calculus = _resolve_calculus(calculus)
     _check_language(calculus, s)
     search = _TwoSidedSearch(calculus, budget, cache or SearchCache())
-    return search.derivable(s.antecedent, s.succedent)
+    return search.derivable((s.antecedent, s.succedent))
 
 
 def prove(calculus: Union[str, Calculus], s: Sequent,
@@ -422,9 +418,10 @@ def prove(calculus: Union[str, Calculus], s: Sequent,
     calculus = _resolve_calculus(calculus)
     _check_language(calculus, s)
     search = _TwoSidedSearch(calculus, budget, cache or SearchCache())
-    if not search.derivable(s.antecedent, s.succedent):
+    goal = (s.antecedent, s.succedent)
+    if not search.derivable(goal):
         return None
-    return search.rebuild(s.antecedent, s.succedent)
+    return search.rebuild(goal)
 
 
 def categories_equivalent(calculus: Union[str, Calculus], a: Category, b: Category,
@@ -440,17 +437,16 @@ def categories_equivalent(calculus: Union[str, Calculus], a: Category, b: Catego
 # One-sided cyclic search
 # ---------------------------------------------------------------------------
 
-class _MacllSearch:
+class _MacllSearch(_Search):
+    """Goals are formula sequences, keyed by their canonical rotation."""
+
     def __init__(self, budget: int, cache: SearchCache):
-        self.budget = budget
-        self.memo = cache.table("MACLL")
-        self.intervals = cache.intervals
+        super().__init__("MACLL", budget, cache)
         self.keys = cache.formula_keys
 
-    def _spend(self):
-        self.budget -= 1
-        if self.budget < 0:
-            raise BudgetError("proof search exhausted its node budget")
+    @staticmethod
+    def size(formulas: tuple[Formula, ...]) -> int:
+        return sum(f.size for f in formulas)
 
     def _formula_key(self, f: Formula) -> str:
         key = self.keys.get(f)
@@ -468,26 +464,6 @@ class _MacllSearch:
         keys = [self._formula_key(f) for f in formulas]
         best = min(range(n), key=lambda i: tuple(keys[i:] + keys[:i]))
         return formulas[best:] + formulas[:best]
-
-    def derivable(self, formulas: tuple[Formula, ...]) -> bool:
-        key = self.canonical(formulas)
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit is not None
-        if not self._maybe_balanced(key):
-            self.memo[key] = None
-            return False
-        size = sum(f.size for f in key)
-        for rule, rotated, premises in self._expansions(key):
-            self._spend()
-            assert rule in ("axiom", "(1)", "(top)") or all(
-                sum(f.size for f in p) < size for p in premises), \
-                "premise must lose a connective"
-            if all(self.derivable(p) for p in premises):
-                self.memo[key] = (rule, rotated, premises)
-                return True
-        self.memo[key] = None
-        return False
 
     def _maybe_balanced(self, formulas) -> bool:
         total: _Interval = {}
@@ -577,7 +553,7 @@ def lambek_member(g: LambekGrammar, w: str, budget: int = DEFAULT_BUDGET,
         choices.append(entry)
     search = _TwoSidedSearch(calculus, budget, cache)
     for combo in itertools.product(*choices):
-        if search.derivable(tuple(combo), g.target):
+        if search.derivable((tuple(combo), g.target)):
             return True
         # unused budget carries over between lexicon choices
     return False

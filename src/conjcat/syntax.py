@@ -14,11 +14,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 # ---------------------------------------------------------------------------
-# Categories
+# Tree nodes, shared by categories and formulas
 # ---------------------------------------------------------------------------
 
-class Category:
-    """Base class for category trees.
+class _Node:
+    """Base class for category and formula trees.
 
     Nodes cache their hash and connective count at construction, so
     hashing and the prover's termination measure are O(1).
@@ -28,6 +28,42 @@ class Category:
 
     def __hash__(self):
         return self._hash
+
+
+class _Binary(_Node):
+    """The body of every binary connective, category or formula."""
+
+    __slots__ = ("left", "right")
+
+    __hash__ = _Node.__hash__
+
+    def __init__(self, left, right):
+        kind = Category if isinstance(self, Category) else Formula
+        if not isinstance(left, kind) or not isinstance(right, kind):
+            raise TypeError(f"{type(self).__name__} operands must be {kind.__name__} nodes")
+        self.left = left
+        self.right = right
+        self.size = left.size + right.size + 1
+        self._hash = hash((type(self).__name__, left._hash, right._hash))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (type(other) is type(self) and other._hash == self._hash
+                and other.left == self.left and other.right == self.right)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
+
+
+# ---------------------------------------------------------------------------
+# Categories
+# ---------------------------------------------------------------------------
+
+class Category(_Node):
+    """Base class for category trees."""
+
+    __slots__ = ()
 
     def __str__(self):
         return category_str(self)
@@ -54,35 +90,12 @@ class Prim(Category):
         return f"Prim({self.name!r})"
 
 
-class _BinCat(Category):
-    __slots__ = ("left", "right")
-
-    __hash__ = Category.__hash__
-
-    def __init__(self, left: Category, right: Category):
-        if not isinstance(left, Category) or not isinstance(right, Category):
-            raise TypeError("category operands must be categories")
-        self.left = left
-        self.right = right
-        self.size = left.size + right.size + 1
-        self._hash = hash((type(self).__name__, left._hash, right._hash))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is type(self) and other._hash == self._hash
-                and other.left == self.left and other.right == self.right)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
-
-
-class Prod(_BinCat):
+class Prod(Category, _Binary):
     """Product (concatenation), written `A.B`."""
     __slots__ = ()
 
 
-class LDiv(_BinCat):
+class LDiv(Category, _Binary):
     """Left division `C\\A`: `left` is the denominator C, `right` the numerator A."""
     __slots__ = ()
 
@@ -90,7 +103,7 @@ class LDiv(_BinCat):
     num = property(lambda self: self.right)
 
 
-class RDiv(_BinCat):
+class RDiv(Category, _Binary):
     """Right division `A/C`: `left` is the numerator A, `right` the denominator C."""
     __slots__ = ()
 
@@ -98,12 +111,12 @@ class RDiv(_BinCat):
     den = property(lambda self: self.right)
 
 
-class And(_BinCat):
+class And(Category, _Binary):
     """Additive conjunction `A&B`."""
     __slots__ = ()
 
 
-class Or(_BinCat):
+class Or(Category, _Binary):
     """Additive disjunction `A+B`."""
     __slots__ = ()
 
@@ -114,7 +127,7 @@ def subtrees(c: Category) -> Iterator[Category]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, _BinCat):
+        if isinstance(node, _Binary):
             stack.append(node.right)
             stack.append(node.left)
 
@@ -456,13 +469,10 @@ def parse_sequent(text: str) -> Sequent:
 # One-sided cyclic-linear-logic formulas
 # ---------------------------------------------------------------------------
 
-class Formula:
+class Formula(_Node):
     """Base class for one-sided linear-logic formulas (tight negations)."""
 
-    __slots__ = ("_hash", "size")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
 
     def __str__(self):
         return formula_str(self)
@@ -521,45 +531,22 @@ TOP = Const("top")
 ZERO = Const("0")
 
 
-class _BinFormula(Formula):
-    __slots__ = ("left", "right")
-
-    __hash__ = Formula.__hash__
-
-    def __init__(self, left: Formula, right: Formula):
-        if not isinstance(left, Formula) or not isinstance(right, Formula):
-            raise TypeError("formula operands must be formulas")
-        self.left = left
-        self.right = right
-        self.size = left.size + right.size + 1
-        self._hash = hash((type(self).__name__, left._hash, right._hash))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is type(self) and other._hash == self._hash
-                and other.left == self.left and other.right == self.right)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
-
-
-class Times(_BinFormula):
+class Times(Formula, _Binary):
     """Multiplicative conjunction, written `*`."""
     __slots__ = ()
 
 
-class Par(_BinFormula):
+class Par(Formula, _Binary):
     """Multiplicative disjunction, written `@`."""
     __slots__ = ()
 
 
-class With(_BinFormula):
+class With(Formula, _Binary):
     """Additive conjunction, written `&`."""
     __slots__ = ()
 
 
-class Plus(_BinFormula):
+class Plus(Formula, _Binary):
     """Additive disjunction, written `+`."""
     __slots__ = ()
 
@@ -611,14 +598,6 @@ def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
     if left is f.left and right is f.right:
         return f
     return type(f)(left, right)
-
-
-def formula_atoms(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Const):
-        return set()
-    return formula_atoms(f.left) | formula_atoms(f.right)
 
 
 # ---------------------------------------------------------------------------

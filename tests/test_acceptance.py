@@ -183,8 +183,8 @@ def test_criterion_6_disjunction_and_freeness_and_epsilon():
     reason="the published folding step (negated disjunction of negated images) "
            "is equivalent to the conjunction of double negations in one "
            "direction only; grammars with real conjuncts undergenerate — "
-           "countermodel and analysis in tests/test_transforms.py and the "
-           "decisions ledger")
+           "countermodel and analysis in tests/test_transforms.py and "
+           "ROADMAP direction 4")
 def test_criterion_6_disjunction_language_equality():
     g = samples.three_block_ccg()
     plain = to_disjunction_grammar(g)

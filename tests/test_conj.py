@@ -68,6 +68,8 @@ def test_unknown_start_symbol_is_an_error():
         cg_member(g, "bacaca", start="Z")
     with pytest.raises(GrammarError):
         cg_derivation(g, "bacaca", start="Z")
+    with pytest.raises(GrammarError, match="unknown nonterminal 'Z'"):
+        cg_enumerate(g, 4, start="Z")
 
 
 def test_membership_with_alternate_start():

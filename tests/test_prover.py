@@ -3,6 +3,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import conjcat.samples as samples
 from conjcat.errors import BudgetError, CalculusError
@@ -348,6 +350,163 @@ def test_focused_and_left_agrees_with_one_sided_search():
             assert tree.conclusion == seq and replay_proof("MALC*", tree), seq
             proved += 1
     assert proved >= 30
+
+
+def _small_categories():
+    return st.recursive(
+        st.sampled_from([p, q, r]),
+        lambda inner: st.builds(lambda kind, a, b: kind(a, b),
+                                st.sampled_from([Prod, LDiv, RDiv, And, Or]),
+                                inner, inner),
+        max_leaves=2)
+
+
+@st.composite
+def _chains(draw, op, leaf):
+    """An `op`-chain of 2-5 leaves, none itself an `op`, in any association."""
+    parts = draw(st.lists(leaf.filter(lambda c: not isinstance(c, op)),
+                          min_size=2, max_size=5))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i:i + 2] = [op(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+@st.composite
+def _additive_chain_sequents(draw):
+    """A `+`-chain in the antecedent, a `&`-chain as the succedent, or both.
+    Chain leaves often repeat what they replace, so many are derivable."""
+    small = _small_categories()
+    ants = draw(st.lists(small, min_size=1, max_size=2))
+    whole = ants[0] if len(ants) == 1 else Prod(*ants)
+    kind = draw(st.sampled_from(["and", "or", "both"]))
+    if kind != "and":
+        h = draw(st.integers(0, len(ants) - 1))
+        ants[h] = draw(_chains(Or, st.one_of(small, st.just(ants[h]))))
+    near = st.one_of(small, st.just(whole), st.builds(Or, st.just(whole), small))
+    succ = draw(_chains(And, near)) if kind != "or" else draw(near)
+    return Sequent(tuple(ants), succ)
+
+
+@given(_additive_chain_sequents())
+@settings(max_examples=200, deadline=None)
+def test_additive_chains_agree_with_one_sided_search(seq):
+    """(->&) and (+->) chains are decomposed one binary step at a time; the
+    one-sided prover is the oracle and every proof must replay."""
+    two = derivable("MALC*", seq)
+    assert two == macll_derivable(macll_image(seq))
+    if two:
+        tree = prove("MALC*", seq)
+        assert tree.conclusion == seq and replay_proof("MALC*", tree)
+
+
+_AND_CHAIN_PROOF = """\
+{
+  "premises": [
+    {
+      "premises": [
+        {
+          "premises": [],
+          "rule": "axiom",
+          "sequent": "p -> p"
+        }
+      ],
+      "rule": "(->+)_1",
+      "sequent": "p -> p+q"
+    },
+    {
+      "premises": [
+        {
+          "premises": [],
+          "rule": "axiom",
+          "sequent": "p -> p"
+        },
+        {
+          "premises": [
+            {
+              "premises": [],
+              "rule": "axiom",
+              "sequent": "p -> p"
+            }
+          ],
+          "rule": "(->+)_2",
+          "sequent": "p -> q+p"
+        }
+      ],
+      "rule": "(->&)",
+      "sequent": "p -> p&(q+p)"
+    }
+  ],
+  "rule": "(->&)",
+  "sequent": "p -> (p+q)&p&(q+p)"
+}
+"""
+
+_OR_CHAIN_PROOF = """\
+{
+  "premises": [
+    {
+      "premises": [
+        {
+          "premises": [
+            {
+              "premises": [
+                {
+                  "premises": [],
+                  "rule": "axiom",
+                  "sequent": "p -> p"
+                }
+              ],
+              "rule": "(->+)_2",
+              "sequent": "p -> q+p"
+            }
+          ],
+          "rule": "(->+)_2",
+          "sequent": "p -> r+q+p"
+        },
+        {
+          "premises": [
+            {
+              "premises": [
+                {
+                  "premises": [],
+                  "rule": "axiom",
+                  "sequent": "q -> q"
+                }
+              ],
+              "rule": "(->+)_1",
+              "sequent": "q -> q+p"
+            }
+          ],
+          "rule": "(->+)_2",
+          "sequent": "q -> r+q+p"
+        }
+      ],
+      "rule": "(+->)",
+      "sequent": "p+q -> r+q+p"
+    },
+    {
+      "premises": [
+        {
+          "premises": [],
+          "rule": "axiom",
+          "sequent": "r -> r"
+        }
+      ],
+      "rule": "(->+)_1",
+      "sequent": "r -> r+q+p"
+    }
+  ],
+  "rule": "(+->)",
+  "sequent": "(p+q)+r -> r+q+p"
+}
+"""
+
+
+def test_additive_chain_proofs_are_stable():
+    """Golden proofs of a 3-leaf `&`-succedent and `+`-antecedent chain."""
+    assert prove("MALC*", S("p -> (p+q)&p&(q+p)")).to_json() == _AND_CHAIN_PROOF
+    assert prove("MALC*", S("(p+q)+r -> r+q+p")).to_json() == _OR_CHAIN_PROOF
 
 
 def test_fuzzed_macll_trees_replay():

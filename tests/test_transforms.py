@@ -205,7 +205,7 @@ def test_disjunction_conjunction_free_language():
 
 def test_disjunction_equivalence_gap_is_real():
     """The folding equivalence holds in one direction only; with real
-    conjuncts the output undergenerates (see the decisions ledger)."""
+    conjuncts the output undergenerates (see ROADMAP direction 4)."""
     u, v, f = Prim("u"), Prim("v"), Prim("f")
     strong = parse_category(r"((u&v)\f)\f")
     weak = parse_category(r"((u\f)+(v\f))\f")
