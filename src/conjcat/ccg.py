@@ -1,20 +1,29 @@
 """Membership and derivations for conjunctive categorial grammars.
 
 Every category occurring in a derivation is a subexpression of an axiom
-category (or the target), so proof search ranges over that finite
-universe.  The span table is filled on demand: divisions always combine
-two strictly smaller nonempty spans and conjunct introduction only
-consults primitives on the same span, so the recursion is well founded.
+category (or the target), so derivations range over that finite
+universe.  `ccg_translation` gives each universe category a nonterminal
+and each inference one conjunctive rule, so the two grammars have the
+same derivations; membership runs the conjunctive recognizer
+(`conj._Recognizer`) on the translation, without recursion.  A query
+costs one table over the word: O(n^2) bits per category, filled by
+bitmask operations, after a rejection in O(1) when the first or last
+letter cannot begin or end a word of the queried category.  A derivation
+is read back from the finished table in the order of the categorial
+rules: the axiom, conjunct introduction, then the divisions by
+`category_str`, each with its leftmost split.
 """
 
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GrammarError, chart_too_deep
-from .grammars import CCG, chart_index
-from .syntax import (And, Category, LDiv, RDiv, category_latex, category_str,
-                     conjunct_members, subexpressions)
+from .conj import _Recognizer, check_letters
+from .errors import GrammarError
+from .grammars import CCG, ConjGrammar, Rule, chart_index
+from .syntax import (And, Category, LDiv, Prim, RDiv, category_latex,
+                     category_str, conjunct_members, fresh_names,
+                     subexpressions)
 
 
 def ccg_universe(g: CCG) -> frozenset[Category]:
@@ -70,117 +79,146 @@ def _ccg_node_latex(node: CCGNode, w: str) -> str:
     return rf"\infer{{{prop}}}{{{premises}}}"
 
 
+def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str]]:
+    """The conjunctive grammar with one nonterminal per universe category,
+    and the category each nonterminal stands for.
+
+    The rules mirror the categorial inferences one-to-one, so the two
+    grammars have the same derivations: a conjunct rewrites to the
+    conjunction of its members, a numerator rewrites to denominator next
+    to division, and each axiom becomes a terminal rule.
+    """
+    universe = sorted(ccg_universe(g), key=category_str)
+    # conjunct members outside the universe still occur in rule bodies;
+    # they get (rule-less, underivable) nonterminals of their own
+    members = sorted({m for cat in universe if isinstance(cat, And)
+                      for m in conjunct_members(cat)}, key=category_str)
+    symbols = universe + [m for m in members if m not in set(universe)]
+    used = set(g.alphabet)
+    names: dict[Category, str] = {}
+    gen = fresh_names(used)
+    for cat in symbols:
+        if isinstance(cat, Prim) and cat.name not in used:
+            names[cat] = cat.name
+            used.add(cat.name)
+    for cat in symbols:
+        if cat not in names:
+            names[cat] = next(gen)
+
+    rules = []
+    for cat in universe:
+        if isinstance(cat, And):
+            members = conjunct_members(cat)
+            rules.append(Rule(names[cat], tuple((names[p],) for p in members)))
+        elif isinstance(cat, LDiv):
+            rules.append(Rule(names[cat.num], ((names[cat.den], names[cat]),)))
+        elif isinstance(cat, RDiv):
+            rules.append(Rule(names[cat.num], ((names[cat], names[cat.den]),)))
+    for cat, sym in g.axioms:
+        rules.append(Rule(names[cat], ((sym,),)))
+
+    translated = ConjGrammar(terminals=g.alphabet,
+                             nonterminals=frozenset(names.values()),
+                             start=names[g.target],
+                             rules=tuple(rules))
+    return translated, names
+
+
 class _CcgIndex:
-    """What every chart on one grammar shares: the universe, its order by
-    `category_str`, the divisions by numerator, the axioms by symbol and
-    the conjunct members of each `And`.  Built on a grammar object's first
-    query (`grammars.chart_index`)."""
+    """What every query on one grammar shares, built on a grammar object's
+    first query (`grammars.chart_index`): the universe, the axioms by
+    symbol and the conjunct members of each `And` (for replay and
+    enumeration), the translation `ccg_translation` with its compiled
+    recognizer tables, and, by nonterminal id, what a derivation reads
+    back from a finished table."""
 
     def __init__(self, g: CCG):
         self.universe = ccg_universe(g)
         self.order: tuple[Category, ...] = tuple(sorted(self.universe, key=category_str))
-        # producers[num]: the division categories with numerator `num`, in order
-        producers: dict[Category, list[tuple[str, Category, Category]]] = {}
-        for cat in self.order:
-            if isinstance(cat, LDiv):
-                producers.setdefault(cat.num, []).append(("left_div", cat.den, cat))
-            elif isinstance(cat, RDiv):
-                producers.setdefault(cat.num, []).append(("right_div", cat.den, cat))
-        self.producers: dict[Category, tuple[tuple[str, Category, Category], ...]] = {
-            num: tuple(entries) for num, entries in producers.items()}
-        # tuples, not sets: the chart mostly asks about these very objects,
-        # which a tuple finds by identity without the Python-level __hash__
         self.axioms: dict[str, tuple[Category, ...]] = {
             sym: g.axioms_for(sym) for sym in g.alphabet}
         self.members: dict[Category, tuple[Category, ...]] = {
             cat: conjunct_members(cat) for cat in self.order if isinstance(cat, And)}
+        translated, names = ccg_translation(g)
+        self.recognizer = _Recognizer(translated)
+        ids = {cat: self.recognizer.ids[name] for cat, name in names.items()}
+        self.ids = ids
+        self.categories: list[Category] = sorted(ids, key=ids.__getitem__)
+        # by id: the letters of its axioms, its conjunct members, and the
+        # divisions with it as numerator in `category_str` order
+        self.axiom_letters = [frozenset() for _ in ids]
+        for cat, sym in g.axioms:
+            self.axiom_letters[ids[cat]] |= {sym}
+        self.member_ids = [()] * len(ids)
+        for cat, members in self.members.items():
+            self.member_ids[ids[cat]] = tuple(ids[m] for m in members)
+        self.producers: list[list[tuple[str, int, int]]] = [[] for _ in ids]
+        for cat in self.order:
+            if isinstance(cat, LDiv):
+                self.producers[ids[cat.num]].append(("left_div", ids[cat.den], ids[cat]))
+            elif isinstance(cat, RDiv):
+                self.producers[ids[cat.num]].append(("right_div", ids[cat.den], ids[cat]))
 
+    def tree(self, ends: list[list[int]], w: str, goal: int) -> CCGNode:
+        """The derivation of `goal` over all of `w` that the finished
+        table `ends` holds: at each node the axiom, else conjunct
+        introduction, else the first division with its leftmost split."""
+        pending = [(goal, 0, len(w))]
+        steps = []
+        while pending:
+            cat, i, j = pending.pop()
+            rule, premises = self._premises(ends, w, cat, i, j)
+            steps.append((cat, i, j, rule, len(premises)))
+            pending.extend(reversed(premises))
+        # `steps` lists the nodes in preorder; in reverse, each node's
+        # children are built just before it, first child on top
+        built: list[CCGNode] = []
+        for cat, i, j, rule, count in reversed(steps):
+            children = tuple(built.pop() for _ in range(count))
+            built.append(CCGNode(self.categories[cat], (i, j), rule, children))
+        return built[0]
 
-class _CcgChart:
-    """The span table of one word; the rest is the grammar's shared index."""
-
-    def __init__(self, g: CCG, w: str):
-        index = chart_index(g, _CcgIndex)
-        self.axioms = index.axioms
-        self.members = index.members
-        self.producers = index.producers
-        self.w = w
-        self.table: dict[tuple[Category, int, int], Optional[tuple]] = {}
-
-    def derives(self, cat: Category, i: int, j: int) -> bool:
-        key = (cat, i, j)
-        hit = self.table.get(key, False)
-        if hit is not False:
-            return hit is not None
-        self.table[key] = None
-        back = self._search(cat, i, j)
-        self.table[key] = back
-        return back is not None
-
-    def _search(self, cat: Category, i: int, j: int) -> Optional[tuple]:
-        if j - i == 1 and cat in self.axioms[self.w[i]]:
-            return ("axiom",)
-        if isinstance(cat, And):
-            members = self.members[cat]
-            if all(self.derives(p, i, j) for p in members):
-                return ("and_intro", members)
-        for rule, den, divcat in self.producers.get(cat, ()):
+    def _premises(self, ends, w, cat, i, j) -> tuple[str, tuple]:
+        if j - i == 1 and w[i] in self.axiom_letters[cat]:
+            return "axiom", ()
+        members = self.member_ids[cat]
+        if members and all(ends[m][i] >> j & 1 for m in members):
+            return "and_intro", tuple((m, i, j) for m in members)
+        for rule, den, div in self.producers[cat]:
+            first, second = (den, div) if rule == "left_div" else (div, den)
+            left, right = ends[first][i], ends[second]
             for k in range(i + 1, j):
-                if rule == "left_div":
-                    if self.derives(den, i, k) and self.derives(divcat, k, j):
-                        return (rule, den, divcat, k)
-                else:
-                    if self.derives(divcat, i, k) and self.derives(den, k, j):
-                        return (rule, den, divcat, k)
-        return None
-
-    def tree(self, cat: Category, i: int, j: int) -> CCGNode:
-        back = self.table[(cat, i, j)]
-        if back[0] == "axiom":
-            return CCGNode(cat, (i, j), "axiom")
-        if back[0] == "and_intro":
-            children = tuple(self.tree(p, i, j) for p in back[1])
-            return CCGNode(cat, (i, j), "and_intro", children)
-        rule, den, divcat, k = back
-        if rule == "left_div":
-            children = (self.tree(den, i, k), self.tree(divcat, k, j))
-        else:
-            children = (self.tree(divcat, i, k), self.tree(den, k, j))
-        return CCGNode(cat, (i, j), rule, children)
+                if left >> k & 1 and right[k] >> j & 1:
+                    return rule, ((first, i, k), (second, k, j))
+        raise AssertionError(f"no premises for a derivable entry {(cat, i, j)}")
 
 
 def _check_word(g: CCG, w: str):
     if w == "":
         raise GrammarError("categorial propositions concern nonempty strings only")
-    for ch in w:
-        if ch not in g.alphabet:
-            raise GrammarError(f"symbol {ch!r} is not in the alphabet")
+    check_letters(w, g.alphabet)
 
 
 def ccg_derive(g: CCG, category: Category, w: str) -> Optional[CCGDerivation]:
     """A derivation of `category(w)`, or None when there is none."""
     _check_word(g, w)
-    if category not in chart_index(g, _CcgIndex).universe:
+    index = chart_index(g, _CcgIndex)
+    if category not in index.universe:
         raise GrammarError(
             f"category {category_str(category)} lies outside the grammar's "
             f"universe; nothing outside it is derivable")
-    chart = _CcgChart(g, w)
-    try:
-        if not chart.derives(category, 0, len(w)):
-            return None
-        return CCGDerivation(w, chart.tree(category, 0, len(w)))
-    except RecursionError:
-        raise chart_too_deep(w) from None
+    goal = index.ids[category]
+    ends = index.recognizer.fill(w, goal)
+    if ends is None:
+        return None
+    return CCGDerivation(w, index.tree(ends, w, goal))
 
 
 def ccg_member(g: CCG, w: str) -> bool:
     """Does the grammar derive `target(w)`?"""
     _check_word(g, w)
-    chart = _CcgChart(g, w)
-    try:
-        return chart.derives(g.target, 0, len(w))
-    except RecursionError:
-        raise chart_too_deep(w) from None
+    index = chart_index(g, _CcgIndex)
+    return index.recognizer.fill(w, index.ids[g.target]) is not None
 
 
 def ccg_languages(g: CCG, max_len: int) -> dict[Category, frozenset[str]]:
@@ -230,26 +268,32 @@ def ccg_enumerate(g: CCG, max_len: int) -> frozenset[str]:
 
 def replay_derivation(g: CCG, d: CCGDerivation) -> bool:
     """Check a derivation against the three inference rules and the axioms."""
-    root = d.root
-    if root.span != (0, len(d.word)):
+    if d.root.span != (0, len(d.word)):
         return False
-    return _replay(chart_index(g, _CcgIndex), d.word, root)
+    index = chart_index(g, _CcgIndex)
+    pending = [d.root]
+    while pending:
+        node = pending.pop()
+        if not _replay_step(index, d.word, node):
+            return False
+        pending.extend(node.children)
+    return True
 
 
-def _replay(index: _CcgIndex, w: str, node: CCGNode) -> bool:
+def _replay_step(index: _CcgIndex, w: str, node: CCGNode) -> bool:
+    """Does `node` follow from its children's propositions by its rule?"""
     i, j = node.span
     if not (0 <= i < j <= len(w)) or node.category not in index.universe:
         return False
     if node.rule == "axiom":
-        return j == i + 1 and node.category in index.axioms.get(w[i], ())
+        return (not node.children and j == i + 1
+                and node.category in index.axioms.get(w[i], ()))
     if node.rule == "and_intro":
         members = index.members.get(node.category, ())
         if len(node.children) != len(members) or len(members) < 2:
             return False
-        for child, member in zip(node.children, members):
-            if child.category != member or child.span != (i, j):
-                return False
-        return all(_replay(index, w, c) for c in node.children)
+        return all(child.category == member and child.span == (i, j)
+                   for child, member in zip(node.children, members))
     if node.rule in ("left_div", "right_div"):
         if len(node.children) != 2:
             return False
@@ -258,11 +302,9 @@ def _replay(index: _CcgIndex, w: str, node: CCGNode) -> bool:
             return False
         if node.rule == "left_div":
             div = second.category
-            ok = (isinstance(div, LDiv) and div.den == first.category
-                  and div.num == node.category)
-        else:
-            div = first.category
-            ok = (isinstance(div, RDiv) and div.den == second.category
-                  and div.num == node.category)
-        return ok and all(_replay(index, w, c) for c in node.children)
+            return (isinstance(div, LDiv) and div.den == first.category
+                    and div.num == node.category)
+        div = first.category
+        return (isinstance(div, RDiv) and div.den == second.category
+                and div.num == node.category)
     return False

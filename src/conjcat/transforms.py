@@ -5,10 +5,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .ccg import ccg_universe
+from .ccg import ccg_translation
 from .conj import cg_enumerate, check_odd_normal_form
 from .errors import BudgetError, GrammarError
-from .grammars import CCG, ConjGrammar, LambekGrammar, Rule
+from .grammars import CCG, ConjGrammar, LambekGrammar
 from .syntax import (And, Category, LDiv, Or, Prim, RDiv, category_str,
                      conjunct_members, fresh_name, fresh_names, is_and_free,
                      is_conjunct, make_conjunct, primitive_names,
@@ -23,43 +23,10 @@ def ccg_to_cg(g: CCG) -> ConjGrammar:
     """Conjunctive grammar with one nonterminal per universe category.
 
     The rules mirror the categorial inferences one-to-one, so the two
-    grammars have the same derivations: a conjunct rewrites to the
-    conjunction of its members, a numerator rewrites to denominator next
-    to division, and each axiom becomes a terminal rule.
+    grammars have the same derivations (`ccg.ccg_translation`, which also
+    gives the category of each nonterminal).
     """
-    universe = sorted(ccg_universe(g), key=category_str)
-    # conjunct members outside the universe still occur in rule bodies;
-    # they get (rule-less, underivable) nonterminals of their own
-    members = sorted({m for cat in universe if isinstance(cat, And)
-                      for m in conjunct_members(cat)}, key=category_str)
-    symbols = universe + [m for m in members if m not in set(universe)]
-    used = set(g.alphabet)
-    names: dict[Category, str] = {}
-    gen = fresh_names(used)
-    for cat in symbols:
-        if isinstance(cat, Prim) and cat.name not in used:
-            names[cat] = cat.name
-            used.add(cat.name)
-    for cat in symbols:
-        if cat not in names:
-            names[cat] = next(gen)
-
-    rules = []
-    for cat in universe:
-        if isinstance(cat, And):
-            members = conjunct_members(cat)
-            rules.append(Rule(names[cat], tuple((names[p],) for p in members)))
-        elif isinstance(cat, LDiv):
-            rules.append(Rule(names[cat.num], ((names[cat.den], names[cat]),)))
-        elif isinstance(cat, RDiv):
-            rules.append(Rule(names[cat.num], ((names[cat], names[cat.den]),)))
-    for cat, sym in g.axioms:
-        rules.append(Rule(names[cat], ((sym,),)))
-
-    return ConjGrammar(terminals=g.alphabet,
-                       nonterminals=frozenset(names.values()),
-                       start=names[g.target],
-                       rules=tuple(rules))
+    return ccg_translation(g)[0]
 
 
 # ---------------------------------------------------------------------------

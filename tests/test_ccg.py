@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -6,7 +8,7 @@ import conjcat.samples as samples
 from conjcat.ccg import (CCGDerivation, ccg_derive, ccg_enumerate, ccg_extend,
                          ccg_languages, ccg_member, ccg_universe,
                          replay_derivation)
-from conjcat.errors import BudgetError, GrammarError
+from conjcat.errors import GrammarError, UndeclaredSymbolError
 from conjcat.grammars import ccg
 from conjcat.syntax import (And, Category, LDiv, Prim, RDiv, category_str,
                             conjunct_members, is_conjunct, parse_category)
@@ -34,8 +36,10 @@ def test_membership_three_block():
     assert not ccg_member(g, "b")
     with pytest.raises(GrammarError):
         ccg_member(g, "")
-    with pytest.raises(GrammarError):
+    with pytest.raises(UndeclaredSymbolError, match="'d'"):
         ccg_member(g, "bad")
+    with pytest.raises(UndeclaredSymbolError, match="'d'"):
+        ccg_derive(g, s, "bad")
 
 
 def test_two_block_bcg_membership():
@@ -66,14 +70,23 @@ def test_derive_subtree_example():
     assert second.category == q and second.span == (1, 3)
 
 
-def test_chart_recursion_is_a_budget_error_not_a_no():
+def test_right_recursion_is_answered_without_recursion():
     g = ccg("s", [(RDiv(s, s), "a"), (s, "b")])
     deep = "a" * 12000 + "b"
-    with pytest.raises(BudgetError, match="length 12001"):
-        ccg_member(g, deep)
-    with pytest.raises(BudgetError, match="length 12001"):
-        ccg_derive(g, s, deep)
-    assert ccg_member(g, "a" * 3000 + "b")
+    old_limit = sys.getrecursionlimit()
+    # a few frames above this one: any recursion through the word fails
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        assert ccg_member(g, deep)
+        assert not ccg_member(g, "a" * 12000)
+        assert not ccg_member(g, deep + "b")
+        d = ccg_derive(g, s, deep)
+        assert d.root.span == (0, len(deep))
+        assert replay_derivation(g, d)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert d.root.rule == "right_div"
+    assert d.root.children[1].span == (1, len(deep))
 
 
 def test_derive_requires_universe_membership():

@@ -10,6 +10,7 @@ from conjcat.conj import (CGDerivation, _Chart, cg_derivation, cg_enumerate,
 from conjcat.ccg import ccg_member
 from conjcat.cvp import cvp_grammar
 from conjcat.errors import BudgetError, GrammarError, UndeclaredSymbolError
+from conjcat.fuzz import random_conj_grammar
 from conjcat.grammars import conj_grammar
 from conjcat.transforms import ccg_to_cg
 
@@ -224,19 +225,6 @@ def test_conjunction_semantics():
 
 
 # --- differential: chart against the string-set fixpoint --------------------
-
-def random_conj_grammar(rng):
-    """Small grammars rich in unit conjuncts, empty bodies and same-span
-    cycles over nonterminals S, A, B, C and terminals a, b."""
-    nonterminals = ["S", "A", "B", "C"]
-    symbols = nonterminals * 2 + ["a", "b"]
-    rules = []
-    for _ in range(rng.randint(2, 8)):
-        bodies = [[rng.choice(symbols) for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))]
-                  for _ in range(rng.choice([1, 1, 2, 2, 3]))]
-        rules.append((rng.choice(nonterminals), bodies))
-    return conj_grammar("S", rules, terminals={"a", "b"})
-
 
 def test_chart_matches_enumeration_on_random_grammars():
     words = ["".join(c) for n in range(5) for c in itertools.product("ab", repeat=n)]
