@@ -227,6 +227,8 @@ def ccg_languages(g: CCG, max_len: int) -> dict[Category, frozenset[str]]:
     Every proposition in a derivation concerns a substring of the derived
     string, so the cap is exact.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     index = chart_index(g, _CcgIndex)
     languages: dict[Category, set[str]] = {cat: set() for cat in index.order}
     for cat, sym in g.axioms:

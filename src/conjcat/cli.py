@@ -165,8 +165,7 @@ def _cmd_enumerate(args) -> int:
         words = lambek_enumerate(grammar, args.max_len, budget=_budget(args))
     ordered = sorted(words, key=lambda w: (len(w), w))
     if args.output == "json":
-        _emit(args, _json_line({"max_len": args.max_len,
-                                "words": ["" if w == "" else w for w in ordered]}))
+        _emit(args, _json_line({"max_len": args.max_len, "words": ordered}))
     else:
         _emit(args, "".join(("eps" if w == "" else w) + "\n" for w in ordered))
     return 0
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all members up to a length bound")
     p.add_argument("--grammar", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_nonnegative_int, required=True)
     common(p)
     p.set_defaults(func=_cmd_enumerate)
 

@@ -47,7 +47,7 @@ from .grammars import CALCULI, Calculus, LambekGrammar
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv, MacllSequent,
                      ONE, Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP, Times,
                      With, formula_str, is_multiplicative, macll_negate,
-                     macll_sequent_str, sequent_latex, sequent_str)
+                     macll_sequent_latex, sequent_latex)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -111,10 +111,7 @@ _LATEX_RULES = {
 
 
 def _conclusion_latex(c) -> str:
-    if isinstance(c, Sequent):
-        return sequent_latex(c)
-    from .syntax import formula_latex
-    return r"{}\to " + ", ".join(formula_latex(f) for f in c.formulas)
+    return sequent_latex(c) if isinstance(c, Sequent) else macll_sequent_latex(c)
 
 
 def _proof_latex(t: ProofTree) -> str:
@@ -562,6 +559,8 @@ def lambek_member(g: LambekGrammar, w: str, budget: int = DEFAULT_BUDGET,
 def lambek_enumerate(g: LambekGrammar, max_len: int, budget: int = DEFAULT_BUDGET,
                      cache: Optional[SearchCache] = None) -> frozenset[str]:
     """All members of length at most `max_len`, by exhaustive query."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     cache = cache or SearchCache()
     letters = sorted(g.lexicon)
     out = set()

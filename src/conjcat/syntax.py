@@ -6,6 +6,7 @@ functions and safe to call concurrently.
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
@@ -179,22 +180,14 @@ def is_bcat_conj(c: Category) -> bool:
     """True for categories whose division denominators are all conjuncts."""
     if isinstance(c, Prim):
         return True
-    if isinstance(c, LDiv):
-        return is_conjunct(c.den) and is_bcat_conj(c.num)
-    if isinstance(c, RDiv):
+    if isinstance(c, (LDiv, RDiv)):
         return is_conjunct(c.den) and is_bcat_conj(c.num)
     return False
 
 
 def is_bcat(c: Category) -> bool:
     """True for conjunction-free basic categories (primitive denominators only)."""
-    if isinstance(c, Prim):
-        return True
-    if isinstance(c, LDiv):
-        return isinstance(c.den, Prim) and is_bcat(c.num)
-    if isinstance(c, RDiv):
-        return isinstance(c.den, Prim) and is_bcat(c.num)
-    return False
+    return is_bcat_conj(c) and is_and_free(c)
 
 
 def subexpressions(c: Category) -> frozenset[Category]:
@@ -219,250 +212,6 @@ def substitute_primitive(c: Category, p: Prim, d: Category) -> Category:
     if left is c.left and right is c.right:
         return c
     return type(c)(left, right)
-
-
-# ---------------------------------------------------------------------------
-# Category concrete syntax
-#
-# Precedence, loosest to tightest: `+`, `&`, divisions, `.`.
-# `+`/`&`/`.` chains need no parentheses; `\` associates to the right and
-# `/` to the left, and a chain mixing the two must be parenthesized.
-# ---------------------------------------------------------------------------
-
-_CAT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(->|\|-|[()\\/.&+,]))")
-
-
-def _tokenize(text: str, token_re: re.Pattern) -> list[tuple[str, int]]:
-    """Tokens with their positions; each alternative of `token_re` is one
-    capturing group after optional leading whitespace."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        tokens.append((m.group(m.lastindex), m.start(m.lastindex)))
-        pos = m.end()
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, text: str, token_re: re.Pattern):
-        self.text = text
-        self.tokens = _tokenize(text, token_re)
-        self.index = 0
-
-    def peek(self) -> Optional[str]:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def pos(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
-        return tok
-
-    def expect(self, tok: str):
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
-        self.index += 1
-
-    def done(self):
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-
-
-def _parse_cat_atom(ts: _TokenStream) -> Category:
-    tok = ts.peek()
-    if tok == "(":
-        ts.next()
-        inner = _parse_cat_or(ts)
-        ts.expect(")")
-        return inner
-    if tok is not None and _IDENT_RE.fullmatch(tok):
-        ts.next()
-        return Prim(tok)
-    raise ParseError(f"expected a category, found {tok!r}", ts.pos())
-
-
-def _parse_cat_prod(ts: _TokenStream) -> Category:
-    out = _parse_cat_atom(ts)
-    while ts.peek() == ".":
-        ts.next()
-        out = Prod(out, _parse_cat_atom(ts))
-    return out
-
-
-def _parse_cat_div(ts: _TokenStream) -> Category:
-    first = _parse_cat_prod(ts)
-    op = ts.peek()
-    if op == "\\":
-        parts = [first]
-        while ts.peek() == "\\":
-            ts.next()
-            parts.append(_parse_cat_prod(ts))
-        if ts.peek() == "/":
-            raise ParseError("mixed \\ and / chain needs parentheses", ts.pos())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = LDiv(part, out)
-        return out
-    if op == "/":
-        out = first
-        while ts.peek() == "/":
-            ts.next()
-            out = RDiv(out, _parse_cat_prod(ts))
-        if ts.peek() == "\\":
-            raise ParseError("mixed / and \\ chain needs parentheses", ts.pos())
-        return out
-    return first
-
-
-def _parse_cat_and(ts: _TokenStream) -> Category:
-    parts = [_parse_cat_div(ts)]
-    while ts.peek() == "&":
-        ts.next()
-        parts.append(_parse_cat_div(ts))
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = And(part, out)
-    return out
-
-
-def _parse_cat_or(ts: _TokenStream) -> Category:
-    parts = [_parse_cat_and(ts)]
-    while ts.peek() == "+":
-        ts.next()
-        parts.append(_parse_cat_and(ts))
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Or(part, out)
-    return out
-
-
-def parse_category(text: str) -> Category:
-    ts = _TokenStream(text, _CAT_TOKEN_RE)
-    out = _parse_cat_or(ts)
-    ts.done()
-    return out
-
-
-_LEVEL_OR, _LEVEL_AND, _LEVEL_DIV, _LEVEL_PROD, _LEVEL_ATOM = range(5)
-
-
-def _cat_level(c: Category) -> int:
-    if isinstance(c, Prim):
-        return _LEVEL_ATOM
-    if isinstance(c, Prod):
-        return _LEVEL_PROD
-    if isinstance(c, (LDiv, RDiv)):
-        return _LEVEL_DIV
-    if isinstance(c, And):
-        return _LEVEL_AND
-    return _LEVEL_OR
-
-
-def _wrap(s: str, need: bool) -> str:
-    return f"({s})" if need else s
-
-
-def category_str(c: Category) -> str:
-    """Minimal-parentheses rendering; parses back to an identical tree."""
-    if isinstance(c, Prim):
-        return c.name
-    if isinstance(c, Or):
-        left = _wrap(category_str(c.left), isinstance(c.left, Or))
-        return f"{left}+{category_str(c.right)}"
-    if isinstance(c, And):
-        left = _wrap(category_str(c.left), _cat_level(c.left) <= _LEVEL_AND)
-        right = _wrap(category_str(c.right), _cat_level(c.right) < _LEVEL_AND)
-        return f"{left}&{right}"
-    if isinstance(c, LDiv):
-        den = _wrap(category_str(c.den), _cat_level(c.den) <= _LEVEL_DIV)
-        num = _wrap(category_str(c.num),
-                    _cat_level(c.num) < _LEVEL_DIV or isinstance(c.num, RDiv))
-        return f"{den}\\{num}"
-    if isinstance(c, RDiv):
-        num = _wrap(category_str(c.num),
-                    _cat_level(c.num) < _LEVEL_DIV or isinstance(c.num, LDiv))
-        den = _wrap(category_str(c.den), _cat_level(c.den) <= _LEVEL_DIV)
-        return f"{num}/{den}"
-    if isinstance(c, Prod):
-        left = _wrap(category_str(c.left), _cat_level(c.left) < _LEVEL_PROD)
-        right = _wrap(category_str(c.right),
-                      _cat_level(c.right) < _LEVEL_PROD or isinstance(c.right, Prod))
-        return f"{left}.{right}"
-    raise TypeError(f"not a category: {c!r}")
-
-
-_LATEX_CAT_OPS = {Prod: r" \cdot ", LDiv: r" \backslash ", RDiv: " / ",
-                  And: r" \wedge ", Or: r" \vee "}
-
-
-def category_latex(c: Category) -> str:
-    """Fully parenthesized LaTeX math rendering."""
-    if isinstance(c, Prim):
-        return c.name.replace("_", r"\_")
-    op = _LATEX_CAT_OPS[type(c)]
-    return f"({category_latex(c.left)}{op}{category_latex(c.right)})"
-
-
-# ---------------------------------------------------------------------------
-# Two-sided sequents
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Sequent:
-    """Antecedent sequence (possibly empty) and a succedent category."""
-
-    antecedent: tuple[Category, ...]
-    succedent: Category
-
-    def __str__(self):
-        return sequent_str(self)
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.antecedent) + self.succedent.size
-
-
-def sequent_str(s: Sequent) -> str:
-    left = ", ".join(category_str(c) for c in s.antecedent)
-    return f"{left} -> {category_str(s.succedent)}" if left else f"-> {category_str(s.succedent)}"
-
-
-def sequent_latex(s: Sequent) -> str:
-    left = ", ".join(category_latex(c) for c in s.antecedent)
-    return f"{left} \\to {category_latex(s.succedent)}"
-
-
-def parse_sequent(text: str) -> Sequent:
-    ts = _TokenStream(text, _CAT_TOKEN_RE)
-    antecedent = []
-    if ts.peek() != "->":
-        while True:
-            antecedent.append(_parse_cat_or(ts))
-            tok = ts.next()
-            if tok == "->":
-                break
-            if tok != ",":
-                raise ParseError(f"expected ',' or '->', found {tok!r}", ts.pos())
-    else:
-        ts.next()
-    succedent = _parse_cat_or(ts)
-    ts.done()
-    return Sequent(tuple(antecedent), succedent)
 
 
 # ---------------------------------------------------------------------------
@@ -601,100 +350,296 @@ def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Formula concrete syntax
+# Concrete syntax
 #
-# Precedence, loosest to tightest: `+`, `&`, `@`, `*`; all chains associate
-# to the right.  `~p` is the negated atom; `1 bot top 0` are the constants.
+# One operator table per syntax: binary connectives in precedence levels,
+# loosest first, each entry a token, its node class and its LaTeX operator.
+# `/` and `.` chains associate to the left, all others to the right, and a
+# chain mixing two operators of one level must be parenthesized.  One
+# parser, one printer and one LaTeX printer read either table.
 # ---------------------------------------------------------------------------
 
+_LEFT_ASSOCIATIVE = (RDiv, Prod)
+
+_CATEGORY_TABLE = (
+    (("+", Or, r" \vee "),),
+    (("&", And, r" \wedge "),),
+    (("\\", LDiv, r" \backslash "), ("/", RDiv, " / ")),
+    ((".", Prod, r" \cdot "),),
+)
+
+# `~p` is the negated atom; `1 bot top 0` are the constants.
+_FORMULA_TABLE = (
+    (("+", Plus, r" \oplus "),),
+    (("&", With, r" \with "),),
+    (("@", Par, r" \parr "),),
+    (("*", Times, r" \otimes "),),
+)
+
+_CAT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(->|\|-|[()\\/.&+,])|(\S))")
 _FORMULA_TOKEN_RE = re.compile(
-    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([01])|(\|-|->|[()&+*@~,]))")
-
-_FORMULA_OPS = (("+", Plus), ("&", With), ("@", Par), ("*", Times))
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([01])|(\|-|->|[()&+*@~,])|(\S))")
 
 
-def _parse_formula_atom(ts: _TokenStream) -> Formula:
-    tok = ts.peek()
-    if tok == "(":
+class _Syntax:
+    """An operator table read three ways, and the leaf parser: `levels`
+    maps tokens to node classes for the parser, `ops` maps node classes to
+    (token, level, left-associative) for the printer, and `latex_ops` to
+    LaTeX operators."""
+
+    def __init__(self, token_re, table, parse_leaf):
+        self.token_re = token_re
+        self.parse_leaf = parse_leaf
+        self.levels = tuple({tok: node for tok, node, _ in level} for level in table)
+        self.ops = {node: (tok, i, node in _LEFT_ASSOCIATIVE)
+                    for i, level in enumerate(table) for tok, node, _ in level}
+        self.latex_ops = {node: latex for level in table for _, node, latex in level}
+
+
+class _Parser:
+    """Recursive descent over the tokens of `text` in one syntax.  `tokens`
+    holds each token with its position and ends in `(None, len(text))`;
+    `tok` is the current one.  Each alternative of the syntax's `token_re`
+    is one capturing group after optional leading whitespace, and the last
+    catches any other character."""
+
+    def __init__(self, text: str, syntax: _Syntax):
+        self.parse_leaf = syntax.parse_leaf
+        self.levels = syntax.levels
+        self.depth = len(syntax.levels)
+        self.tokens = []
+        self.index = 0
+        token_re = syntax.token_re
+        for m in token_re.finditer(text):
+            k = m.lastindex
+            if k == token_re.groups:
+                raise ParseError(f"unexpected character {m.group(k)!r}", m.start(k))
+            self.tokens.append((m.group(k), m.start(k)))
+        self.tokens.append((None, len(text)))
+        self.tok: Optional[str] = self.tokens[0][0]
+
+    def pos(self) -> int:
+        return self.tokens[self.index][1]
+
+    def next(self) -> str:
+        tok = self.tok
+        if tok is None:
+            raise ParseError("unexpected end of input", self.pos())
+        self.index += 1
+        self.tok = self.tokens[self.index][0]
+        return tok
+
+    def expect(self, tok: str):
+        if self.tok != tok:
+            raise ParseError(f"expected {tok!r}, found {self.tok!r}", self.pos())
+        self.next()
+
+    def done(self):
+        if self.tok is not None:
+            raise ParseError(f"trailing input {self.tok!r}", self.pos())
+
+    def parse(self, level: int = 0):
+        """One frame per precedence level and per parenthesis, and a small
+        one: deeply nested input holds thousands of them."""
+        if level == self.depth:
+            if self.tok != "(":
+                return self.parse_leaf(self)
+            self.next()
+            out = self.parse(0)
+            self.expect(")")
+            return out
+        out = self.parse(level + 1)
+        op = self.tok
+        if op not in self.levels[level]:
+            return out
+        parts = [out]
+        while self.tok == op:
+            self.next()
+            out = self.parse(level + 1)
+            parts.append(out)
+        return self.fold(level, op, parts)
+
+    def fold(self, level: int, op: str, parts: list):
+        """A chain's operands joined by `op`: from the left for the
+        left-associative classes, from the right for all others.  Another
+        operator of the same level after the chain is an error."""
+        ops = self.levels[level]
+        if self.tok in ops:
+            raise ParseError(f"mixed {op} and {self.tok} chain needs parentheses", self.pos())
+        node = ops[op]
+        if node in _LEFT_ASSOCIATIVE:
+            return reduce(node, parts)
+        return reduce(lambda right, left: node(left, right), reversed(parts))
+
+
+def _parse_all(text: str, syntax: _Syntax):
+    ts = _Parser(text, syntax)
+    out = ts.parse()
+    ts.done()
+    return out
+
+
+def _text(node, ops, leaf) -> str:
+    """Minimal-parentheses rendering; parses back to an identical tree.
+
+    An operand is wrapped when it binds more loosely than its parent, or at
+    the same level unless it is the same operator on the side where the
+    chain grows."""
+    op = ops.get(type(node))
+    if op is None:
+        return leaf(node)
+    symbol, level, grows_left = op
+    left, right = node.left, node.right
+    left_text = _text(left, ops, leaf)
+    sub = ops.get(type(left))
+    if sub is not None and (sub[1] < level or sub[1] == level
+                            and (sub is not op or not grows_left)):
+        left_text = f"({left_text})"
+    right_text = _text(right, ops, leaf)
+    sub = ops.get(type(right))
+    if sub is not None and (sub[1] < level or sub[1] == level
+                            and (sub is not op or grows_left)):
+        right_text = f"({right_text})"
+    return f"{left_text}{symbol}{right_text}"
+
+
+def _latex(node, ops, leaf) -> str:
+    """Fully parenthesized LaTeX math rendering."""
+    op = ops.get(type(node))
+    if op is None:
+        return leaf(node)
+    return f"({_latex(node.left, ops, leaf)}{op}{_latex(node.right, ops, leaf)})"
+
+
+def _category_leaf(ts: _Parser) -> Prim:
+    tok = ts.tok
+    if tok is not None and _IDENT_RE.fullmatch(tok):
         ts.next()
-        inner = _parse_formula(ts, 0)
-        ts.expect(")")
-        return inner
+        return Prim(tok)
+    raise ParseError(f"expected a category, found {tok!r}", ts.pos())
+
+
+def _category_leaf_text(c: Category) -> str:
+    if isinstance(c, Prim):
+        return c.name
+    raise TypeError(f"not a category: {c!r}")
+
+
+def _category_leaf_latex(c: Category) -> str:
+    return _category_leaf_text(c).replace("_", r"\_")
+
+
+_CONSTANTS = {"1": ONE, "bot": BOT, "top": TOP, "0": ZERO}
+
+
+def _formula_leaf(ts: _Parser) -> Formula:
+    tok = ts.tok
     if tok == "~":
         ts.next()
         name = ts.next()
         if not _IDENT_RE.fullmatch(name) or name in _MACLL_RESERVED:
             raise ParseError(f"expected an atom after '~', found {name!r}", ts.pos())
         return Atom(name, negated=True)
-    if tok == "1":
+    if tok in _CONSTANTS:
         ts.next()
-        return ONE
-    if tok == "0":
-        ts.next()
-        return ZERO
-    if tok == "top":
-        ts.next()
-        return TOP
-    if tok == "bot":
-        ts.next()
-        return BOT
+        return _CONSTANTS[tok]
     if tok is not None and _IDENT_RE.fullmatch(tok):
         ts.next()
         return Atom(tok)
     raise ParseError(f"expected a formula, found {tok!r}", ts.pos())
 
 
-def _parse_formula(ts: _TokenStream, level: int) -> Formula:
-    if level == len(_FORMULA_OPS):
-        return _parse_formula_atom(ts)
-    op, node = _FORMULA_OPS[level]
-    parts = [_parse_formula(ts, level + 1)]
-    while ts.peek() == op:
-        ts.next()
-        parts.append(_parse_formula(ts, level + 1))
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = node(part, out)
-    return out
-
-
-def parse_formula(text: str) -> Formula:
-    ts = _TokenStream(text, _FORMULA_TOKEN_RE)
-    out = _parse_formula(ts, 0)
-    ts.done()
-    return out
-
-
-_FORMULA_LEVEL = {Plus: 0, With: 1, Par: 2, Times: 3}
-
-
-def formula_str(f: Formula) -> str:
+def _formula_leaf_text(f: Formula) -> str:
     if isinstance(f, Atom):
         return f"~{f.name}" if f.negated else f.name
     if isinstance(f, Const):
         return f.name
-    my = _FORMULA_LEVEL[type(f)]
-    op = {Plus: "+", With: "&", Par: "@", Times: "*"}[type(f)]
-    left_level = _FORMULA_LEVEL.get(type(f.left), 4)
-    right_level = _FORMULA_LEVEL.get(type(f.right), 4)
-    left = _wrap(formula_str(f.left), left_level <= my)
-    right = _wrap(formula_str(f.right), right_level < my)
-    return f"{left}{op}{right}"
+    raise TypeError(f"not a formula: {f!r}")
 
 
-_LATEX_FORMULA_OPS = {Times: r" \otimes ", Par: r" \parr ",
-                      With: r" \with ", Plus: r" \oplus "}
 _LATEX_CONSTS = {"1": "1", "bot": r"\bot", "top": r"\top", "0": "0"}
 
 
-def formula_latex(f: Formula) -> str:
-    if isinstance(f, Atom):
-        name = f.name.replace("_", r"\_")
-        return rf"\bar{{{name}}}" if f.negated else name
+def _formula_leaf_latex(f: Formula) -> str:
     if isinstance(f, Const):
         return _LATEX_CONSTS[f.name]
-    op = _LATEX_FORMULA_OPS[type(f)]
-    return f"({formula_latex(f.left)}{op}{formula_latex(f.right)})"
+    name = f.name.replace("_", r"\_")
+    return rf"\bar{{{name}}}" if f.negated else name
+
+
+_CATEGORY = _Syntax(_CAT_TOKEN_RE, _CATEGORY_TABLE, _category_leaf)
+_FORMULA = _Syntax(_FORMULA_TOKEN_RE, _FORMULA_TABLE, _formula_leaf)
+
+
+def parse_category(text: str) -> Category:
+    return _parse_all(text, _CATEGORY)
+
+
+def category_str(c: Category) -> str:
+    return _text(c, _CATEGORY.ops, _category_leaf_text)
+
+
+def category_latex(c: Category) -> str:
+    return _latex(c, _CATEGORY.latex_ops, _category_leaf_latex)
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse_all(text, _FORMULA)
+
+
+def formula_str(f: Formula) -> str:
+    return _text(f, _FORMULA.ops, _formula_leaf_text)
+
+
+def formula_latex(f: Formula) -> str:
+    return _latex(f, _FORMULA.latex_ops, _formula_leaf_latex)
+
+
+# ---------------------------------------------------------------------------
+# Sequents: two-sided over categories, one-sided over formulas
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Sequent:
+    """Antecedent sequence (possibly empty) and a succedent category."""
+
+    antecedent: tuple[Category, ...]
+    succedent: Category
+
+    def __str__(self):
+        return sequent_str(self)
+
+    @property
+    def size(self) -> int:
+        return sum(c.size for c in self.antecedent) + self.succedent.size
+
+
+def sequent_str(s: Sequent) -> str:
+    left = ", ".join(category_str(c) for c in s.antecedent)
+    return f"{left} -> {category_str(s.succedent)}" if left else f"-> {category_str(s.succedent)}"
+
+
+def sequent_latex(s: Sequent) -> str:
+    left = ", ".join(category_latex(c) for c in s.antecedent)
+    return f"{left} \\to {category_latex(s.succedent)}"
+
+
+def parse_sequent(text: str) -> Sequent:
+    ts = _Parser(text, _CATEGORY)
+    antecedent = []
+    if ts.tok != "->":
+        while True:
+            antecedent.append(ts.parse())
+            tok = ts.next()
+            if tok == "->":
+                break
+            if tok != ",":
+                raise ParseError(f"expected ',' or '->', found {tok!r}", ts.pos())
+    else:
+        ts.next()
+    succedent = ts.parse()
+    ts.done()
+    return Sequent(tuple(antecedent), succedent)
 
 
 @dataclass(frozen=True)
@@ -719,13 +664,17 @@ def macll_sequent_str(s: MacllSequent) -> str:
     return "|- " + ", ".join(formula_str(f) for f in s.formulas)
 
 
+def macll_sequent_latex(s: MacllSequent) -> str:
+    return r"{}\to " + ", ".join(formula_latex(f) for f in s.formulas)
+
+
 def parse_macll_sequent(text: str) -> MacllSequent:
-    ts = _TokenStream(text, _FORMULA_TOKEN_RE)
+    ts = _Parser(text, _FORMULA)
     ts.expect("|-")
-    formulas = [_parse_formula(ts, 0)]
-    while ts.peek() == ",":
+    formulas = [ts.parse()]
+    while ts.tok == ",":
         ts.next()
-        formulas.append(_parse_formula(ts, 0))
+        formulas.append(ts.parse())
     ts.done()
     return MacllSequent(tuple(formulas))
 
@@ -736,7 +685,6 @@ def macll_image(s: Sequent) -> MacllSequent:
     formulas = [macll_negate(hat_translate(c)) for c in reversed(s.antecedent)]
     formulas.append(hat_translate(s.succedent))
     return MacllSequent(tuple(formulas))
-
 
 # ---------------------------------------------------------------------------
 # Fresh names

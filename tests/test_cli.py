@@ -3,10 +3,11 @@ import json
 import pytest
 
 import conjcat.samples as samples
-from conjcat.ccg import ccg_derive
+from conjcat.ccg import ccg_derive, ccg_enumerate
 from conjcat.cli import main
-from conjcat.conj import cg_derivation
+from conjcat.conj import cg_derivation, cg_enumerate
 from conjcat.fileformat import dumps_bundle, dumps_grammar, loads_grammar
+from conjcat.prover import lambek_enumerate
 from conjcat.transforms import ccg_to_malc
 
 
@@ -85,6 +86,25 @@ def test_enumerate(capsys, three_block_ccg_file, three_block_cg_file):
     code, out, _ = run(capsys, "enumerate", "--grammar", three_block_cg_file,
                        "--max-len", "9", "--output", "json")
     assert json.loads(out)["words"] == ["bacaca", "baacaacaa"]
+
+
+def test_negative_max_len_is_an_error_for_every_grammar_kind(capsys, tmp_path,
+                                                             three_block_ccg_file,
+                                                             three_block_cg_file):
+    # the target `s/s` is derivable from nothing, so a Lambek sweep that
+    # skipped the check would still print `eps`
+    lambek = tmp_path / "eps.lambek"
+    lambek.write_text("kind: lambek\ncalculus: MALC*\ntarget: s/s\n'a' : s/s ;\n")
+    paths = (three_block_ccg_file, three_block_cg_file, str(lambek))
+    for path, enumerate_ in zip(paths, (ccg_enumerate, cg_enumerate, lambek_enumerate)):
+        grammar = loads_grammar(open(path).read())
+        assert enumerate_(grammar, 0) <= {""}
+        with pytest.raises(ValueError, match="max_len must be nonnegative"):
+            enumerate_(grammar, -1)
+        code, out, err = run(capsys, "enumerate", "--grammar", path, "--max-len", "-1")
+        assert code == 2 and out == "" and "--max-len: expected a nonnegative" in err, path
+    code, out, _ = run(capsys, "enumerate", "--grammar", str(lambek), "--max-len", "0")
+    assert code == 0 and out == "eps\n"
 
 
 def test_translate_closure(capsys, three_block_ccg_file, tmp_path):

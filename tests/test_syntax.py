@@ -1,16 +1,23 @@
+import hashlib
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conjcat.errors import ParseError
+from conjcat.fuzz import random_category, random_sequent
 from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE,
                             Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP,
-                            Times, With, ZERO, category_str, conjunct_members,
-                            formula_str, hat_translate, is_bcat, is_bcat_conj,
+                            Times, With, ZERO, category_latex, category_str,
+                            conjunct_members, formula_latex, formula_str,
+                            hat_translate, is_and_free, is_bcat, is_bcat_conj,
                             is_conjunct, macll_image, macll_negate,
-                            macll_sequent_str, macll_substitute, make_conjunct,
-                            parse_category, parse_formula, parse_macll_sequent,
-                            parse_sequent, sequent_str, subexpressions,
+                            macll_sequent_latex, macll_sequent_str,
+                            macll_substitute, make_conjunct, parse_category,
+                            parse_formula, parse_macll_sequent, parse_sequent,
+                            sequent_latex, sequent_str, subexpressions,
                             substitute_primitive, subtrees, fresh_name,
                             fresh_names)
 
@@ -242,3 +249,129 @@ def test_subexpressions_bounded(cat):
     assert cat in subs
     node_count = sum(1 for _ in subtrees(cat))
     assert len(subs) <= node_count + 1
+
+
+@given(categories())
+@settings(max_examples=300)
+def test_basic_categories_are_and_free_conjunct_denominator_categories(cat):
+    assert is_bcat(cat) == (is_bcat_conj(cat) and is_and_free(cat))
+
+
+# --- golden digests ----------------------------------------------------------
+#
+# SHA-256 digests of every rendering and of every parse result or error,
+# taken from the separate category and formula parsers and printers that
+# the one operator-table implementation replaced (`macll_sequent_latex`
+# from the prover's LaTeX for one-sided conclusions, which it replaced).
+
+GOLDEN_RENDERINGS = "c114c74b97bd68226d6463b781cd11769e6d44c9dc08896971eb7df04841dbca"
+GOLDEN_PARSES = "9253153e277a060770d7ec38c4342124508047074fd3d57d3b2f3a91d8313a24"
+
+ATOMS = ("p", "q", "r_1")  # the underscore exercises LaTeX escaping
+CONSTANTS = (ONE, BOT, TOP, ZERO)
+
+
+def rendering_digest(count=1500) -> str:
+    """Every text and LaTeX printer on seeded random sequents, their
+    one-sided images, and those images with `p` replaced by a constant."""
+    h = hashlib.sha256()
+    rng = random.Random(9)
+    for _ in range(count):
+        seq = random_sequent(rng, rng.randint(0, 9), ATOMS)
+        image = macll_image(seq)
+        with_constants = MacllSequent(tuple(
+            macll_substitute(f, p, rng.choice(CONSTANTS)) for f in image.formulas))
+        lines = [sequent_str(seq), sequent_latex(seq)]
+        lines += [g(c) for c in seq.antecedent + (seq.succedent,)
+                  for g in (category_str, category_latex)]
+        for m in (image, with_constants):
+            lines += [macll_sequent_str(m), macll_sequent_latex(m)]
+            lines += [g(f) for f in m.formulas for g in (formula_str, formula_latex)]
+        h.update(("\n".join(lines) + "\n").encode())
+    return h.hexdigest()
+
+
+CATEGORY_TOKENS = ["(", ")", "\\", "/", ".", "&", "+", ",", "->"]
+FORMULA_TOKENS = ["(", ")", "~", "*", "@", "&", "+", ",", "|-", "1", "0", "top", "bot"]
+FOREIGN = ["pq", "$", "|-", "->", "~", "."]
+
+
+def _category_text(rng):
+    return category_str(random_category(rng, rng.randint(0, 7), ATOMS))
+
+
+def _formula_text(rng):
+    f = hat_translate(random_category(rng, rng.randint(0, 7), ATOMS))
+    return formula_str(macll_substitute(f, p, rng.choice(CONSTANTS)))
+
+
+def _sequent_text(rng):
+    return sequent_str(random_sequent(rng, rng.randint(0, 7), ATOMS))
+
+
+def _macll_sequent_text(rng):
+    image = macll_image(random_sequent(rng, rng.randint(0, 7), ATOMS))
+    return macll_sequent_str(MacllSequent(tuple(
+        macll_substitute(f, p, rng.choice(CONSTANTS)) for f in image.formulas)))
+
+
+# each parser with a renderer of valid input and its own token vocabulary
+SYNTAXES = ((parse_category, _category_text, CATEGORY_TOKENS),
+            (parse_formula, _formula_text, FORMULA_TOKENS),
+            (parse_sequent, _sequent_text, CATEGORY_TOKENS),
+            (parse_macll_sequent, _macll_sequent_text, FORMULA_TOKENS))
+
+
+def random_texts(rng: random.Random, render, vocabulary, count: int):
+    """Random token strings, and valid renderings with up to two tokens
+    deleted, inserted or replaced."""
+    tokens = list(ATOMS) * 2 + vocabulary
+    for _ in range(count):
+        if rng.random() < 0.3:
+            toks = [rng.choice(tokens) for _ in range(rng.randint(0, 12))]
+        else:
+            toks = re.findall(r"[A-Za-z_0-9]+|\|-|->|\S", render(rng))
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(toks) + 1)
+                tok = rng.choice(FOREIGN if rng.random() < 0.1 else tokens)
+                move = rng.randrange(3)
+                if move == 1:
+                    toks.insert(i, tok)
+                elif i < len(toks):
+                    toks[i:i + 1] = [] if move == 0 else [tok]
+        yield "".join(t + rng.choice(["", " ", " ", "  "]) for t in toks)
+
+
+def parse_outcome(parse, text: str) -> str:
+    try:
+        return repr(parse(text))
+    except Exception as e:  # the error's type, message and position
+        return f"{type(e).__name__} {e} {getattr(e, 'pos', None)}"
+
+
+def parse_digest(count=1500) -> str:
+    h = hashlib.sha256()
+    rng = random.Random(11)
+    for parse, render, vocabulary in SYNTAXES:
+        for text in random_texts(rng, render, vocabulary, count):
+            h.update(f"{text!r} {parse.__name__} {parse_outcome(parse, text)}\n".encode())
+    return h.hexdigest()
+
+
+def test_renderings_match_the_golden_digest():
+    assert rendering_digest() == GOLDEN_RENDERINGS
+
+
+def test_parses_and_parse_errors_match_the_golden_digest():
+    assert parse_digest() == GOLDEN_PARSES
+
+
+def test_mixed_division_chains_fail_at_the_offending_token():
+    for text, message, at in [(r"p\q/r", "mixed \\ and / chain needs parentheses", 3),
+                              (r"p/q\r", "mixed / and \\ chain needs parentheses", 3),
+                              (r"p\q\r/s", "mixed \\ and / chain needs parentheses", 5),
+                              (r"(p/q/r\s)", "mixed / and \\ chain needs parentheses", 6)]:
+        with pytest.raises(ParseError) as exc:
+            parse_category(text)
+        assert str(exc.value) == f"{message} (at position {at})", text
+        assert exc.value.pos == at, text
