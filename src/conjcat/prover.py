@@ -3,7 +3,7 @@ one-sided cyclic calculus, plus grammar membership via proof search.
 
 Every inference rule's premises carry strictly fewer connectives than its
 conclusion, so plain memoized recursion terminates without loop checks.
-Three devices keep desk-scale searches tractable, none losing
+Four devices keep desk-scale searches tractable, none losing
 completeness:
 
 - a primitive-count necessary condition: counting occurrences per
@@ -26,7 +26,15 @@ completeness:
   only for the axiom, and a product or disjunction leaf replaces the
   chain for the invertible rule that follows.  (&->) permutes below
   every rule whose principal formula lies elsewhere, so nothing is lost,
-  and the states no longer multiply across chains.
+  and the states no longer multiply across chains;
+
+- the one-sided search is focused on its invertible rules: when some
+  rotation's head is `top`, a `@`, a `&`, or `bot` beside other
+  formulas, that rule on the first such rotation is the only expansion
+  after the axiom test, since its premises are equiderivable with the
+  conclusion.  The choice rules (1), (plus) and (times) are tried only
+  on goals with no invertible head.  Goals are keyed by the rotation
+  with the least tuple of formula numbers (see `SearchCache`).
 
 Returned proof trees re-expand bursts and focused steps into single rule
 applications.
@@ -46,8 +54,8 @@ from .errors import BudgetError, CalculusError, UndeclaredSymbolError
 from .grammars import CALCULI, Calculus, LambekGrammar
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv, MacllSequent,
                      ONE, Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP, Times,
-                     With, formula_str, is_multiplicative, macll_negate,
-                     macll_sequent_latex, sequent_latex)
+                     With, is_multiplicative, macll_dual, macll_sequent_latex,
+                     sequent_latex)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -60,12 +68,21 @@ _MISS = object()
 
 
 class SearchCache:
-    """Shareable memo tables, keyed by calculus."""
+    """Shareable memo tables, keyed by calculus, with the primitive-count
+    intervals and the formula numbers that the searches share.
+
+    The one-sided search numbers each formula the first time it meets one
+    equal to it, and keys a goal by its rotation with the least tuple of
+    numbers.  With a fresh cache a returned tree therefore depends only on
+    the query, not on the hash seed.  With a shared cache it depends on
+    the cache's history, as memo hits already made it do; derivability
+    never does.  Two threads may give two formulas one number, which only
+    weakens the sharing of memo entries."""
 
     def __init__(self):
         self.tables: dict[str, dict] = {}
         self.intervals: dict = {}
-        self.formula_keys: dict = {}
+        self.formula_numbers: dict = {}
 
     def table(self, name: str) -> dict:
         return self.tables.setdefault(name, {})
@@ -435,63 +452,82 @@ def categories_equivalent(calculus: Union[str, Calculus], a: Category, b: Catego
 # ---------------------------------------------------------------------------
 
 class _MacllSearch(_Search):
-    """Goals are formula sequences, keyed by their canonical rotation."""
+    """Goals are formula sequences, keyed by their canonical rotation.
+
+    The invertible rules, (top), (par), (with) and (bot) in a context, are
+    forced: the first rotation whose head one of them decomposes is the
+    only expansion tried.  Only (1), (plus) and (times) are chosen."""
 
     def __init__(self, budget: int, cache: SearchCache):
         super().__init__("MACLL", budget, cache)
-        self.keys = cache.formula_keys
+        self.numbers = cache.formula_numbers
 
     @staticmethod
     def size(formulas: tuple[Formula, ...]) -> int:
         return sum(f.size for f in formulas)
 
-    def _formula_key(self, f: Formula) -> str:
-        key = self.keys.get(f)
-        if key is None:
-            key = formula_str(f)
-            self.keys[f] = key
-        return key
-
     def canonical(self, formulas: tuple[Formula, ...]) -> tuple[Formula, ...]:
-        """The rotation with the least rendering; rotation never changes
-        derivability, so one representative stands for the whole orbit."""
+        """The rotation with the least tuple of formula numbers; rotation
+        never changes derivability, so one representative stands for the
+        whole orbit.  Whole rotations are compared only when the least
+        number occurs more than once."""
         n = len(formulas)
         if n == 1:
             return formulas
-        keys = [self._formula_key(f) for f in formulas]
-        best = min(range(n), key=lambda i: tuple(keys[i:] + keys[:i]))
-        return formulas[best:] + formulas[:best]
+        numbers = self.numbers
+        keys = [numbers.setdefault(f, len(numbers)) for f in formulas]
+        least = min(keys)
+        best = keys.index(least)
+        if keys.count(least) > 1:
+            best = min((i for i in range(best, n) if keys[i] == least),
+                       key=lambda i: keys[i:] + keys[:i])
+        return formulas[best:] + formulas[:best] if best else formulas
 
     def _maybe_balanced(self, formulas) -> bool:
-        total: _Interval = {}
+        intervals = self.intervals
+        low: dict[str, int] = {}
+        high: dict[str, int] = {}
         for f in formulas:
-            interval = _formula_interval(f, self.intervals)
+            interval = intervals.get(f, _MISS)
+            if interval is _MISS:
+                interval = _formula_interval(f, intervals)
             if interval is None:
                 return True
-            total = _add(total, interval)
-        return _balanced(total)
+            for name, (lo, hi) in interval.items():
+                low[name] = low.get(name, 0) + lo
+                high[name] = high.get(name, 0) + hi
+        return all(low[name] <= 0 <= high[name] for name in low)
 
     def _expansions(self, seq: tuple[Formula, ...]):
         n = len(seq)
-        for i in range(n):
-            rot = seq[i:] + seq[:i]
-            head, rest = rot[0], rot[1:]
-            if n == 2 and rot[1] == macll_negate(head):
-                yield ("axiom", rot, ())
-            if head is ONE and n == 1:
-                yield ("(1)", rot, ())
-            if head is TOP:
-                yield ("(top)", rot, ())
-            if head is BOT and n >= 2:
-                yield ("(bot)", rot, (rest,))
-            if isinstance(head, Par):
-                yield ("(par)", rot, ((head.left, head.right) + rest,))
-            if isinstance(head, With):
-                yield ("(with)", rot, ((head.left,) + rest, (head.right,) + rest))
+        if n == 2 and macll_dual(seq[0], seq[1]):
+            yield ("axiom", seq, ())
+            return
+        # Invertible rules are forced: their premises are equiderivable
+        # with the conclusion, so nothing else needs to be tried.
+        for i, head in enumerate(seq):
+            if head is TOP or (head is BOT and n >= 2) or isinstance(head, (Par, With)):
+                rot = seq[i:] + seq[:i]
+                rest = rot[1:]
+                if head is TOP:
+                    yield ("(top)", rot, ())
+                elif head is BOT:
+                    yield ("(bot)", rot, (rest,))
+                elif isinstance(head, Par):
+                    yield ("(par)", rot, ((head.left, head.right) + rest,))
+                else:
+                    yield ("(with)", rot, ((head.left,) + rest, (head.right,) + rest))
+                return
+        if n == 1 and seq[0] is ONE:
+            yield ("(1)", seq, ())
+        for i, head in enumerate(seq):
             if isinstance(head, Plus):
+                rest = seq[i + 1:] + seq[:i]
+                rot = (head,) + rest
                 yield ("(plus)_1", rot, ((head.left,) + rest,))
                 yield ("(plus)_2", rot, ((head.right,) + rest,))
-            if isinstance(head, Times):
+            elif isinstance(head, Times):
+                rot = seq[i:] + seq[:i]
                 for t in range(n):
                     yield ("(times)", rot,
                            (rot[t + 1:] + (head.left,), (head.right,) + rot[1:t + 1]))

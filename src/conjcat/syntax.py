@@ -317,6 +317,26 @@ def macll_negate(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+_DUAL_CONSTANTS = {"1": "bot", "bot": "1", "0": "top", "top": "0"}
+_DUAL_NODES = {Times: Par, Par: Times, With: Plus, Plus: With}
+
+
+def macll_dual(f: Formula, g: Formula) -> bool:
+    """`g == macll_negate(f)`, decided without building the negation."""
+    if f.size != g.size:
+        return False
+    kind = type(f)
+    if kind is Atom:
+        return type(g) is Atom and g.name == f.name and g.negated != f.negated
+    if kind is Const:
+        return type(g) is Const and g.name == _DUAL_CONSTANTS[f.name]
+    if type(g) is not _DUAL_NODES[kind]:
+        return False
+    if kind is Times or kind is Par:
+        return macll_dual(f.left, g.right) and macll_dual(f.right, g.left)
+    return macll_dual(f.left, g.left) and macll_dual(f.right, g.right)
+
+
 def hat_translate(c: Category) -> Formula:
     """Map a category to its one-sided linear-logic image."""
     if isinstance(c, Prim):
@@ -536,9 +556,10 @@ def _formula_leaf(ts: _Parser) -> Formula:
     tok = ts.tok
     if tok == "~":
         ts.next()
+        at = ts.pos()
         name = ts.next()
         if not _IDENT_RE.fullmatch(name) or name in _MACLL_RESERVED:
-            raise ParseError(f"expected an atom after '~', found {name!r}", ts.pos())
+            raise ParseError(f"expected an atom after '~', found {name!r}", at)
         return Atom(name, negated=True)
     if tok in _CONSTANTS:
         ts.next()

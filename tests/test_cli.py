@@ -67,6 +67,27 @@ def test_prove_macll(capsys):
     assert code == 1
 
 
+_BOT_PROOF = """{
+  "premises": [
+    {
+      "premises": [],
+      "rule": "axiom",
+      "sequent": "|- ~p, p"
+    }
+  ],
+  "rule": "(bot)",
+  "sequent": "|- bot, ~p, p"
+}
+"""
+
+
+def test_prove_macll_json_is_golden(capsys):
+    """The README's MACLL example: (bot) over the axiom, with no rotation."""
+    code, out, _ = run(capsys, "prove", "--calculus", "MACLL", "|- bot, ~p, p",
+                       "--output", "json")
+    assert code == 0 and out == _BOT_PROOF
+
+
 def test_json_outputs_are_deterministic(capsys, three_block_ccg_file):
     outs = set()
     for _ in range(2):

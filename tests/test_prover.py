@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +15,12 @@ from conjcat.errors import BudgetError, CalculusError
 from conjcat.fuzz import (conjunction_goals, derivable_pool, random_category,
                           random_sequent)
 from conjcat.grammars import CALCULI, lambek_grammar
-from conjcat.prover import (ProofTree, SearchCache, categories_equivalent,
-                            derivable, lambek_enumerate, lambek_member,
-                            macll_derivable, prove, prove_macll)
-from conjcat.syntax import (And, BOT, LDiv, ONE, Or, Par,
+from conjcat.prover import (ProofTree, SearchCache, _MacllSearch,
+                            categories_equivalent, derivable, lambek_enumerate,
+                            lambek_member, macll_derivable, prove, prove_macll)
+from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
-                            macll_image, macll_negate, make_conjunct,
+                            ZERO, macll_image, macll_negate, make_conjunct,
                             parse_category, parse_macll_sequent, parse_sequent,
                             substitute_primitive)
 
@@ -232,6 +236,108 @@ def test_macll_cycle():
     assert tree is not None and replay_macll(tree)
 
 
+class _UnforcedMacllSearch(_MacllSearch):
+    """The one-sided search before its invertible rules were forced: every
+    rule on every rotation, and the axiom tested against a built negation."""
+
+    def _expansions(self, seq):
+        n = len(seq)
+        for i in range(n):
+            rot = seq[i:] + seq[:i]
+            head, rest = rot[0], rot[1:]
+            if n == 2 and rot[1] == macll_negate(head):
+                yield ("axiom", rot, ())
+            if head is ONE and n == 1:
+                yield ("(1)", rot, ())
+            if head is TOP:
+                yield ("(top)", rot, ())
+            if head is BOT and n >= 2:
+                yield ("(bot)", rot, (rest,))
+            if isinstance(head, Par):
+                yield ("(par)", rot, ((head.left, head.right) + rest,))
+            if isinstance(head, With):
+                yield ("(with)", rot, ((head.left,) + rest, (head.right,) + rest))
+            if isinstance(head, Plus):
+                yield ("(plus)_1", rot, ((head.left,) + rest,))
+                yield ("(plus)_2", rot, ((head.right,) + rest,))
+            if isinstance(head, Times):
+                for t in range(n):
+                    yield ("(times)", rot,
+                           (rot[t + 1:] + (head.left,), (head.right,) + rot[1:t + 1]))
+
+
+_FORMULA_LEAVES = (Atom("p"), Atom("p", True), Atom("q"), Atom("q", True),
+                   Atom("p"), Atom("p", True), Atom("q"), Atom("q", True),
+                   ONE, BOT, TOP, ZERO)
+
+
+def random_formula(rng: random.Random, depth: int):
+    """Depth at most `depth`, over p, q, their negations and the constants."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_FORMULA_LEAVES)
+    node = rng.choice((Times, Par, With, Plus))
+    return node(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+
+
+def random_macll_sequent(rng: random.Random) -> MacllSequent:
+    return MacllSequent(tuple(random_formula(rng, rng.randint(0, 3))
+                              for _ in range(rng.randint(1, 4))))
+
+
+def test_forced_search_agrees_with_unforced_reference():
+    """Forcing (top), (par), (with) and (bot) loses no proof: wherever the
+    unforced search answers within the budget, the verdicts agree."""
+    rng = random.Random(83)
+    budget = 5_000
+    answered = derivable_count = 0
+    for _ in range(2_000):
+        seq = random_macll_sequent(rng)
+        tree = prove_macll(seq, budget=budget)
+        assert tree is None or tree.conclusion == seq and replay_macll(tree), seq
+        try:
+            reference = _UnforcedMacllSearch(budget, SearchCache()).derivable(seq.formulas)
+        except BudgetError:
+            continue
+        assert (tree is not None) == reference, seq
+        answered += 1
+        derivable_count += reference
+    assert answered >= 1_900 and 200 <= derivable_count <= answered - 200
+
+
+def test_forced_search_answers_where_unforced_search_ran_out():
+    seq = parse_macll_sequent("|- ((0&q)@(~q+~p))@(p&0+q), ((q+p)@(bot+p))@(q*p)*(q&p), "
+                              "p@((q+0)+top), q+(top&p)*p")
+    tree = prove_macll(seq, budget=200_000)
+    assert tree is not None and tree.conclusion == seq and replay_macll(tree)
+
+
+_TREE_DIGEST = """
+import hashlib, random
+from conjcat.fuzz import derivable_pool, random_sequent
+from conjcat.prover import prove_macll
+from conjcat.syntax import macll_image
+rng = random.Random(89)
+seqs = derivable_pool(rng, "MALC*", steps=300)
+seqs += [random_sequent(rng, rng.randint(1, 8)) for _ in range(200)]
+h = hashlib.sha256()
+for seq in seqs:
+    tree = prove_macll(macll_image(seq))
+    h.update((tree.to_json() if tree else "None").encode())
+print(h.hexdigest(), len(seqs))
+"""
+
+
+def test_macll_trees_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _TREE_DIGEST], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        digests.add(out.strip())
+    assert len(digests) == 1
+
+
 # --- fuzz properties ---------------------------------------------------------
 
 def test_forward_pool_is_derivable():
@@ -287,6 +393,9 @@ def test_macll_agreement_with_two_sided():
         if two != one:
             disagreements.append(seq)
     assert not disagreements
+    # 576 before the one-sided search forced its invertible rules and keyed
+    # rotations by formula numbers
+    assert len(cache.table("MACLL")) == 436
 
 
 def test_l_conservativity():
@@ -551,17 +660,27 @@ def test_lambek_enumerate():
 
 
 def test_shared_cache_thread_safety():
+    """Both searches on one cache from many threads, switching often: the
+    memo tables and the one-sided search's formula numbers are shared."""
     g_cache = SearchCache()
     seqs = [random_sequent(random.Random(i), 6) for i in range(40)]
     expected = [derivable("MALC*", sq) for sq in seqs]
     results = {}
 
     def work(idx):
-        results[idx] = derivable("MALC*", seqs[idx], cache=g_cache)
+        tree = prove_macll(macll_image(seqs[idx]), cache=g_cache)
+        results[idx] = (derivable("MALC*", seqs[idx], cache=g_cache),
+                        tree is not None and replay_macll(tree))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seqs))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert [results[i] for i in range(len(seqs))] == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(len(seqs))] == [(e, e) for e in expected]

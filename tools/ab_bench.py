@@ -1,0 +1,109 @@
+"""Compare two checkouts on the benchmark, in alternating pairs of runs.
+
+    python3 tools/ab_bench.py BASE CHANGE --workload proof_search --pairs 10 --seed 5
+    python3 tools/ab_bench.py BASE CHANGE --workload all --pairs 4 --seconds 20 --out ab.json
+
+BASE and CHANGE are the roots of two conjcat checkouts.  Each pair runs
+`bench/run.py --trace 0` once in each, in a fresh interpreter; even pairs
+run BASE first and odd pairs CHANGE first, so that drift of the machine
+falls on both sides alike.  For each workload and each end-to-end metric
+it prints each side's median and quartiles, the ratio of the medians
+(CHANGE over BASE), the number of pairs CHANGE wins, and whether the
+medians differ by more than BASE's interquartile range.  The direction of
+each metric is read from BASE's `BENCHMARK.json`.  It changes nothing in
+either checkout, and exits 1 when any run fails or reports an incorrect
+answer.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("membership_sweep", "long_words", "proof_search", "cli_oneshot")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"ab_bench: {workload} in {checkout} exited {proc.returncode}\n"
+                         f"{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(workload: str, runs: dict, better: dict) -> list:
+    """One line per metric, from the pairs of `runs["base"]` and `runs["change"]`."""
+    lines = [f"{workload}: {len(runs['base'])} pairs",
+             f"  {'metric':<14} {'base median [q1, q3]':<32} {'change median [q1, q3]':<32}"
+             f" {'ratio':>6} {'wins':>6} {'> IQR':>6}"]
+    for metric, direction in better.items():
+        base = [r["metrics"][metric]["value"] for r in runs["base"]]
+        change = [r["metrics"][metric]["value"] for r in runs["change"]]
+        b1, b2, b3 = quartiles(base)
+        c1, c2, c3 = quartiles(change)
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        ratio = c2 / b2 if b2 else float("nan")
+        beyond = abs(c2 - b2) > b3 - b1
+        base_text = f"{b2:.5g} [{b1:.5g}, {b3:.5g}]"
+        change_text = f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
+        lines.append(f"  {metric:<14} {base_text:<32} {change_text:<32} {ratio:>6.3f}"
+                     f" {wins:>3}/{len(base):<2} {'yes' if beyond else 'no':>6}")
+    for side in ("base", "change"):
+        attempted = sum(r["attempted"] for r in runs[side])
+        failed = sum(r["failed"] for r in runs[side])
+        lines.append(f"  {side}: {failed} of {attempted} operations failed"
+                     f" ({failed / max(attempted, 1):.4%}), all correct: "
+                     f"{all(r['correct'] for r in runs[side])}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    spec = json.loads((args.base / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    results = {}
+    ok = True
+    for workload in workloads:
+        runs = {"base": [], "change": []}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                result = run_once(getattr(args, side), workload, args.seed, args.seconds)
+                runs[side].append(result)
+                ok &= result["correct"]
+            print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+        results[workload] = runs
+        print("\n".join(report(workload, runs, better)), flush=True)
+    if args.out is not None:
+        args.out.write_text(json.dumps(results, indent=1) + "\n")
+    if not ok:
+        print("ab_bench: some run reported an incorrect answer", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
