@@ -3,13 +3,16 @@ one-sided cyclic calculus, plus grammar membership via proof search.
 
 Every inference rule's premises carry strictly fewer connectives than its
 conclusion, so plain memoized recursion terminates without loop checks.
+The search does not check this as it runs: a property test over every
+expansion of arbitrary sequents pins it (`tests/test_prover.py`).
 Four devices keep desk-scale searches tractable, none losing
 completeness:
 
 - a primitive-count necessary condition: counting occurrences per
   primitive (numerators positive, denominators negative, additive
   choices widened to an interval), a derivable sequent must admit a zero
-  balance;
+  balance.  Both searches sum a goal's intervals, built once per subterm,
+  into one pair of accumulators;
 
 - (->+) fires as a burst: a `+`-succedent chain is decomposed straight
   down to the chosen leaf instead of one step at a time.  Partial choices
@@ -143,42 +146,34 @@ def _proof_latex(t: ProofTree) -> str:
 # Primitive-count pruning
 # ---------------------------------------------------------------------------
 
-def _category_interval(c: Category, memo: dict) -> _Interval:
-    hit = memo.get(c)
-    if hit is not None:
-        return hit
-    if isinstance(c, Prim):
-        out = {c.name: (1, 1)}
-    elif isinstance(c, Prod):
-        out = _add(_category_interval(c.left, memo), _category_interval(c.right, memo))
-    elif isinstance(c, (LDiv, RDiv)):
-        out = _add(_category_interval(c.num, memo),
-                   _neg(_category_interval(c.den, memo)))
-    else:  # And / Or: either operand may be chosen
-        out = _hull(_category_interval(c.left, memo), _category_interval(c.right, memo))
-    memo[c] = out
-    return out
-
-
-def _formula_interval(f: Formula, memo: dict) -> Optional[_Interval]:
-    """None means "contains the additive truth", which matches anything."""
-    hit = memo.get(f, _MISS)
+def _interval(node: Union[Category, Formula], memo: dict) -> Optional[_Interval]:
+    """Occurrences per primitive of a category or formula, as an interval:
+    numerators and positive atoms count up, denominators and negated atoms
+    down, and an additive choice widens to the hull of its operands.  None
+    means "contains the additive truth", which matches anything."""
+    hit = memo.get(node, _MISS)
     if hit is not _MISS:
         return hit
-    if isinstance(f, Atom):
-        out: Optional[_Interval] = {f.name: (-1, -1) if f.negated else (1, 1)}
-    elif isinstance(f, Const):
-        out = None if f is TOP else {}
+    if isinstance(node, Prim):
+        out: Optional[_Interval] = {node.name: (1, 1)}
+    elif isinstance(node, Atom):
+        out = {node.name: (-1, -1) if node.negated else (1, 1)}
+    elif isinstance(node, Const):
+        out = None if node is TOP else {}
     else:
-        left = _formula_interval(f.left, memo)
-        right = _formula_interval(f.right, memo)
+        left = _interval(node.left, memo)
+        right = _interval(node.right, memo)
         if left is None or right is None:
             out = None
-        elif isinstance(f, (Times, Par)):
+        elif isinstance(node, LDiv):  # den\num
+            out = _add(right, _neg(left))
+        elif isinstance(node, RDiv):  # num/den
+            out = _add(left, _neg(right))
+        elif isinstance(node, (Prod, Times, Par)):
             out = _add(left, right)
-        else:
+        else:  # And, Or, With, Plus: either operand may be chosen
             out = _hull(left, right)
-    memo[f] = out
+    memo[node] = out
     return out
 
 
@@ -203,18 +198,16 @@ def _hull(a: _Interval, b: _Interval) -> _Interval:
     return out
 
 
-def _balanced(total: _Interval) -> bool:
-    return all(lo <= 0 <= hi for lo, hi in total.values())
-
-
 # ---------------------------------------------------------------------------
 # The search loop
 # ---------------------------------------------------------------------------
 
 class _Search:
     """Memoized backward search.  A subclass gives the goal shape: its memo
-    key (`canonical`), `size`, `_maybe_balanced`, `_expansions` as
-    `(rule, data, premises)` with goals as premises, and `rebuild`."""
+    key (`canonical`), the terms the balance check counts and subtracts
+    (`_balance_terms`), `_expansions` as `(rule, data, premises)` with goals
+    as premises, and `rebuild`.  Each premise must have fewer connectives
+    than its goal; a property test pins that instead of a check per step."""
 
     def __init__(self, table: str, budget: int, cache: SearchCache):
         self.budget = budget
@@ -224,6 +217,32 @@ class _Search:
     def canonical(self, goal):
         return goal
 
+    def _maybe_balanced(self, goal) -> bool:
+        """The primitive-count condition, in one pair of accumulators that
+        start at the subtracted term's negated interval, if any, and gain
+        each counted term's interval."""
+        intervals = self.intervals
+        counted, subtracted = self._balance_terms(goal)
+        low: dict[str, int] = {}
+        high: dict[str, int] = {}
+        if subtracted is not None:
+            interval = intervals.get(subtracted, _MISS)
+            if interval is _MISS:
+                interval = _interval(subtracted, intervals)
+            for name, (lo, hi) in interval.items():
+                low[name] = -hi
+                high[name] = -lo
+        for term in counted:
+            interval = intervals.get(term, _MISS)
+            if interval is _MISS:
+                interval = _interval(term, intervals)
+            if interval is None:
+                return True
+            for name, (lo, hi) in interval.items():
+                low[name] = low.get(name, 0) + lo
+                high[name] = high.get(name, 0) + hi
+        return all(low[name] <= 0 <= high[name] for name in low)
+
     def derivable(self, goal) -> bool:
         key = self.canonical(goal)
         hit = self.memo.get(key, _MISS)
@@ -232,13 +251,10 @@ class _Search:
         if not self._maybe_balanced(key):
             self.memo[key] = None
             return False
-        size = self.size(key)
         for rule, data, premises in self._expansions(key):
             self.budget -= 1
             if self.budget < 0:
                 raise BudgetError("proof search exhausted its node budget")
-            assert all(self.size(p) < size for p in premises), \
-                "premise must lose a connective"
             if all(self.derivable(p) for p in premises):
                 self.memo[key] = (rule, data, premises)
                 return True
@@ -283,16 +299,8 @@ class _TwoSidedSearch(_Search):
         self.calculus = calculus
 
     @staticmethod
-    def size(goal: _SeqKey) -> int:
-        ants, succ = goal
-        return sum(c.size for c in ants) + succ.size
-
-    def _maybe_balanced(self, goal: _SeqKey) -> bool:
-        ants, succ = goal
-        total = _neg(_category_interval(succ, self.intervals))
-        for c in ants:
-            total = _add(total, _category_interval(c, self.intervals))
-        return _balanced(total)
+    def _balance_terms(goal: _SeqKey):
+        return goal  # the antecedents count, the succedent is subtracted
 
     def _expansions(self, goal: _SeqKey):
         ants, succ = goal
@@ -463,8 +471,8 @@ class _MacllSearch(_Search):
         self.numbers = cache.formula_numbers
 
     @staticmethod
-    def size(formulas: tuple[Formula, ...]) -> int:
-        return sum(f.size for f in formulas)
+    def _balance_terms(formulas: tuple[Formula, ...]):
+        return formulas, None
 
     def canonical(self, formulas: tuple[Formula, ...]) -> tuple[Formula, ...]:
         """The rotation with the least tuple of formula numbers; rotation
@@ -482,21 +490,6 @@ class _MacllSearch(_Search):
             best = min((i for i in range(best, n) if keys[i] == least),
                        key=lambda i: keys[i:] + keys[:i])
         return formulas[best:] + formulas[:best] if best else formulas
-
-    def _maybe_balanced(self, formulas) -> bool:
-        intervals = self.intervals
-        low: dict[str, int] = {}
-        high: dict[str, int] = {}
-        for f in formulas:
-            interval = intervals.get(f, _MISS)
-            if interval is _MISS:
-                interval = _formula_interval(f, intervals)
-            if interval is None:
-                return True
-            for name, (lo, hi) in interval.items():
-                low[name] = low.get(name, 0) + lo
-                high[name] = high.get(name, 0) + hi
-        return all(low[name] <= 0 <= high[name] for name in low)
 
     def _expansions(self, seq: tuple[Formula, ...]):
         n = len(seq)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -15,14 +16,15 @@ from conjcat.errors import BudgetError, CalculusError
 from conjcat.fuzz import (conjunction_goals, derivable_pool, random_category,
                           random_sequent)
 from conjcat.grammars import CALCULI, lambek_grammar
-from conjcat.prover import (ProofTree, SearchCache, _MacllSearch,
+from conjcat.prover import (ProofTree, SearchCache, _MacllSearch, _TwoSidedSearch,
+                            _add, _interval, _neg,
                             categories_equivalent, derivable, lambek_enumerate,
                             lambek_member, macll_derivable, prove, prove_macll)
 from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
-                            ZERO, macll_image, macll_negate, make_conjunct,
-                            parse_category, parse_macll_sequent, parse_sequent,
-                            substitute_primitive)
+                            ZERO, is_multiplicative, macll_image, macll_negate,
+                            make_conjunct, parse_category, parse_macll_sequent,
+                            parse_sequent, substitute_primitive)
 
 S = parse_sequent
 p, q, r, s = (Prim(n) for n in "pqrs")
@@ -396,6 +398,7 @@ def test_macll_agreement_with_two_sided():
     # 576 before the one-sided search forced its invertible rules and keyed
     # rotations by formula numbers
     assert len(cache.table("MACLL")) == 436
+    assert len(cache.table("MALC*")) == 322
 
 
 def test_l_conservativity():
@@ -461,13 +464,14 @@ def test_focused_and_left_agrees_with_one_sided_search():
     assert proved >= 30
 
 
-def _small_categories():
+def _categories(max_leaves):
+    """`random_category` shapes: p, q, r under the five binary connectives."""
     return st.recursive(
         st.sampled_from([p, q, r]),
         lambda inner: st.builds(lambda kind, a, b: kind(a, b),
                                 st.sampled_from([Prod, LDiv, RDiv, And, Or]),
                                 inner, inner),
-        max_leaves=2)
+        max_leaves=max_leaves)
 
 
 @st.composite
@@ -485,7 +489,7 @@ def _chains(draw, op, leaf):
 def _additive_chain_sequents(draw):
     """A `+`-chain in the antecedent, a `&`-chain as the succedent, or both.
     Chain leaves often repeat what they replace, so many are derivable."""
-    small = _small_categories()
+    small = _categories(max_leaves=2)
     ants = draw(st.lists(small, min_size=1, max_size=2))
     whole = ants[0] if len(ants) == 1 else Prod(*ants)
     kind = draw(st.sampled_from(["and", "or", "both"]))
@@ -626,6 +630,197 @@ def test_fuzzed_macll_trees_replay():
         tree = prove_macll(macll_image(seq), cache=cache)
         assert tree is not None
         assert replay_macll(tree)
+
+
+# --- search invariants and golden results ----------------------------------
+
+def _sequents():
+    """`random_sequent` shapes: 0-4 antecedents and a succedent."""
+    return st.builds(Sequent, st.lists(_categories(max_leaves=3), max_size=4).map(tuple),
+                     _categories(max_leaves=3))
+
+
+def _formulas():
+    """One-sided formulas over p, q, their negations and the four constants."""
+    return st.recursive(
+        st.sampled_from([Atom("p"), Atom("p", True), Atom("q"), Atom("q", True),
+                         ONE, BOT, TOP, ZERO]),
+        lambda inner: st.builds(lambda kind, a, b: kind(a, b),
+                                st.sampled_from([Times, Par, With, Plus]),
+                                inner, inner),
+        max_leaves=4)
+
+
+def _two_sided_size(goal):
+    return Sequent(*goal).size
+
+
+def _one_sided_size(goal):
+    return MacllSequent(goal).size
+
+
+def _walk_expansions(search, root, size):
+    """Every goal reachable from `root` through `_expansions` (up to 2,000
+    goals), asserting that each premise has strictly fewer connectives than
+    its goal.  Returns the rules met; an `and_left` counts under the rule
+    its chosen leaf takes."""
+    rules = set()
+    root = search.canonical(root)
+    seen, stack = {root}, [root]
+    while stack and len(seen) < 2_000:
+        goal = stack.pop()
+        for rule, data, premises in search._expansions(goal):
+            rules.add(f"and_left {data[2]}" if rule == "and_left" else rule)
+            for premise in premises:
+                assert size(premise) < size(goal), (goal, rule, premise)
+                premise = search.canonical(premise)
+                if premise not in seen:
+                    seen.add(premise)
+                    stack.append(premise)
+    return rules
+
+
+def _premises_lose_a_connective(seq: Sequent) -> set:
+    """The termination measure of both searches, on `seq` under each
+    two-sided calculus that admits it and on its one-sided image."""
+    rules = set()
+    for name in ("L", "L*", "MALC", "MALC*"):
+        calculus = CALCULI[name]
+        if calculus.additives or all(map(is_multiplicative, seq.antecedent + (seq.succedent,))):
+            search = _TwoSidedSearch(calculus, 0, SearchCache())
+            rules |= _walk_expansions(search, (seq.antecedent, seq.succedent),
+                                      _two_sided_size)
+    search = _MacllSearch(0, SearchCache())
+    return rules | _walk_expansions(search, macll_image(seq).formulas, _one_sided_size)
+
+
+@given(_sequents())
+@settings(max_examples=150, deadline=None)
+def test_premises_lose_a_connective(seq):
+    """Every premise of every expansion, focused (&->) and (->+) bursts and
+    every split point included, is smaller than its goal: plain memoized
+    recursion terminates, so the search itself does not check it."""
+    _premises_lose_a_connective(seq)
+
+
+@given(st.lists(_formulas(), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_one_sided_premises_lose_a_connective(formulas):
+    _walk_expansions(_MacllSearch(0, SearchCache()), tuple(formulas), _one_sided_size)
+
+
+def test_premise_size_walk_meets_every_rule():
+    """The property above is exercised on every rule and focused choice."""
+    rng = random.Random(101)
+    rules = set()
+    for _ in range(300):
+        rules |= _premises_lose_a_connective(random_sequent(rng, rng.randint(1, 8)))
+    search = _MacllSearch(0, SearchCache())
+    for _ in range(300):
+        rules |= _walk_expansions(search, random_macll_sequent(rng).formulas,
+                                  _one_sided_size)
+    assert rules == {"axiom", "(.->)", "(->\\)", "(->/)", "(->&)", "(+->)", "or_right",
+                     "(->.)", "(\\->)", "(/->)", "and_left axiom", "and_left (\\->)",
+                     "and_left (/->)", "and_left None", "(top)", "(bot)", "(par)",
+                     "(with)", "(1)", "(plus)_1", "(plus)_2", "(times)"}
+
+
+def _reference_balanced(search, goal) -> bool:
+    """The balance check as each search once ran it: one `_add` copy per
+    counted term, the succedent negated through `_neg`, and intervals from
+    a memo of the reference's own."""
+    memo = {}
+    if isinstance(search, _MacllSearch):
+        total = {}
+        for f in goal:
+            interval = _interval(f, memo)
+            if interval is None:
+                return True
+            total = _add(total, interval)
+    else:
+        ants, succ = goal
+        total = _neg(_interval(succ, memo))
+        for c in ants:
+            total = _add(total, _interval(c, memo))
+    return all(lo <= 0 <= hi for lo, hi in total.values())
+
+
+class _CheckedBalance:
+    """Compares `_maybe_balanced` with the reference on every goal visited."""
+
+    checks = prunes = tops = 0
+
+    def _maybe_balanced(self, goal):
+        got = super()._maybe_balanced(goal)
+        assert got == _reference_balanced(self, goal), goal
+        self.checks += 1
+        self.prunes += not got
+        self.tops += isinstance(self, _MacllSearch) and any(
+            _interval(f, {}) is None for f in goal)
+        return got
+
+
+class _CheckedTwoSidedSearch(_CheckedBalance, _TwoSidedSearch):
+    pass
+
+
+class _CheckedMacllSearch(_CheckedBalance, _MacllSearch):
+    pass
+
+
+def test_balance_check_agrees_with_reference():
+    """On 2,000 two-sided sequents, half derivable by construction, their
+    one-sided images, and as many one-sided sequents with constants."""
+    rng = random.Random(103)
+    seqs = derivable_pool(rng, "MALC*", steps=4000)[:1000]
+    seqs += [random_sequent(rng, rng.randint(1, 8)) for _ in range(2_000 - len(seqs))]
+    two_sided, one_sided = [], []
+    for seq in seqs:
+        two_sided.append(_CheckedTwoSidedSearch(CALCULI["MALC*"], 5_000, SearchCache()))
+        one_sided += [_CheckedMacllSearch(5_000, SearchCache()) for _ in range(2)]
+        goals = [(seq.antecedent, seq.succedent), macll_image(seq).formulas,
+                 random_macll_sequent(rng).formulas]
+        for search, goal in zip((two_sided[-1], *one_sided[-2:]), goals):
+            try:
+                search.derivable(goal)
+            except BudgetError:
+                pass
+    for group in (two_sided, one_sided):
+        assert sum(s.checks for s in group) > 9_000
+        assert sum(s.prunes for s in group) > 2_000
+    assert sum(s.tops for s in one_sided) > 2_000
+
+
+@given(_sequents())
+@settings(max_examples=200, deadline=None)
+def test_two_sided_agrees_with_one_sided_on_arbitrary_sequents(seq):
+    assert derivable("MALC*", seq) == macll_derivable(macll_image(seq))
+
+
+def _tree_digest(calculus, seqs) -> str:
+    h = hashlib.sha256()
+    for seq in seqs:
+        tree = prove(calculus, seq, cache=SearchCache())
+        h.update((tree.to_json() if tree else "None\n").encode())
+    return h.hexdigest()
+
+
+def test_two_sided_trees_are_golden():
+    """Proof trees and verdicts with a fresh cache each, pinned by digest."""
+    from conjcat.transforms import ccg_to_malc
+    pool = derivable_pool(random.Random(97), "MALC*", steps=1500)
+    assert len(pool) == 382
+    assert _tree_digest("MALC*", pool) == \
+        "ff2ac0f2012050a74825b9d6440e7f098f6cd0a67fab9431b53570620b362e48"
+    # criterion 4's lexicon sequents, under the grammar's own calculus
+    lam = ccg_to_malc(samples.three_block_ccg())
+    words = [w for length in (1, 2, 3, 6)
+             for w in itertools.product(sorted(lam.lexicon), repeat=length)]
+    seqs = [Sequent(combo, lam.target) for w in words
+            for combo in itertools.product(*(lam.lexicon[ch] for ch in w))]
+    assert len(seqs) == 768
+    assert _tree_digest(lam.calculus, seqs) == \
+        "de1fb4e9917cf1557fd303e48a31eefefa137968e33ab52dcc6779f448e4f67b"
 
 
 # --- grammar membership ------------------------------------------------------

@@ -9,10 +9,13 @@ run BASE first and odd pairs CHANGE first, so that drift of the machine
 falls on both sides alike.  For each workload and each end-to-end metric
 it prints each side's median and quartiles, the ratio of the medians
 (CHANGE over BASE), the number of pairs CHANGE wins, and whether the
-medians differ by more than BASE's interquartile range.  The direction of
-each metric is read from BASE's `BENCHMARK.json`.  It changes nothing in
-either checkout, and exits 1 when any run fails or reports an incorrect
-answer.
+medians differ by more than BASE's interquartile range.  The direction
+and bound of each metric are read from BASE's `BENCHMARK.json`.  It
+changes nothing in either checkout.  It exits 1 when any run fails or
+reports an incorrect answer, and it prints a `REJECT` line and exits 1
+when CHANGE fails a larger share of operations than BASE, or when a
+metric's CHANGE median is worse than its BASE median by more than the
+metric's bound (a fraction of the BASE median).
 """
 
 import argparse
@@ -43,17 +46,20 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def report(workload: str, runs: dict, better: dict) -> list:
-    """One line per metric, from the pairs of `runs["base"]` and `runs["change"]`."""
+def report(workload: str, runs: dict, metrics: dict) -> tuple[list, list]:
+    """One line per metric, from the pairs of `runs["base"]` and
+    `runs["change"]`, and the `REJECT` lines; `metrics` maps each metric's
+    name to its `better` direction and `bound`."""
+    rejects = []
     lines = [f"{workload}: {len(runs['base'])} pairs",
              f"  {'metric':<14} {'base median [q1, q3]':<32} {'change median [q1, q3]':<32}"
              f" {'ratio':>6} {'wins':>6} {'> IQR':>6}"]
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
         base = [r["metrics"][metric]["value"] for r in runs["base"]]
         change = [r["metrics"][metric]["value"] for r in runs["change"]]
         b1, b2, b3 = quartiles(base)
         c1, c2, c3 = quartiles(change)
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         ratio = c2 / b2 if b2 else float("nan")
         beyond = abs(c2 - b2) > b3 - b1
@@ -61,13 +67,21 @@ def report(workload: str, runs: dict, better: dict) -> list:
         change_text = f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
         lines.append(f"  {metric:<14} {base_text:<32} {change_text:<32} {ratio:>6.3f}"
                      f" {wins:>3}/{len(base):<2} {'yes' if beyond else 'no':>6}")
+        if sign * (c2 - b2) < -spec["bound"] * abs(b2):
+            rejects.append(f"REJECT {workload} {metric}: change median {c2:.5g} is worse"
+                           f" than base median {b2:.5g} by more than {spec['bound']:.0%}")
+    share = {}
     for side in ("base", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
+        share[side] = failed / max(attempted, 1)
         lines.append(f"  {side}: {failed} of {attempted} operations failed"
-                     f" ({failed / max(attempted, 1):.4%}), all correct: "
+                     f" ({share[side]:.4%}), all correct: "
                      f"{all(r['correct'] for r in runs[side])}")
-    return lines
+    if share["change"] > share["base"]:
+        rejects.append(f"REJECT {workload}: change fails {share['change']:.4%} of operations,"
+                       f" base {share['base']:.4%}")
+    return lines, rejects
 
 
 def main(argv=None) -> int:
@@ -83,7 +97,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be positive")
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     results = {}
     ok = True
@@ -97,11 +111,14 @@ def main(argv=None) -> int:
                 ok &= result["correct"]
             print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         results[workload] = runs
-        print("\n".join(report(workload, runs, better)), flush=True)
+        lines, rejects = report(workload, runs, metrics)
+        print("\n".join(lines + rejects), flush=True)
+        ok &= not rejects
     if args.out is not None:
         args.out.write_text(json.dumps(results, indent=1) + "\n")
     if not ok:
-        print("ab_bench: some run reported an incorrect answer", file=sys.stderr)
+        print("ab_bench: some run reported an incorrect answer, or the change was rejected",
+              file=sys.stderr)
     return 0 if ok else 1
 
 
