@@ -9,16 +9,20 @@ same derivations; membership runs the conjunctive recognizer
 costs one table over the word: O(n^2) bits per category, filled by
 bitmask operations, after a rejection in O(1) when the first or last
 letter cannot begin or end a word of the queried category.  A derivation
-is read back from the finished table in the order of the categorial
-rules: the axiom, conjunct introduction, then the divisions by
-`category_str`, each with its leftmost split.
+is the recognizer's tree (`_Recognizer.tree`) with categories for
+nonterminals: at each node the first translated rule that applies, with
+its leftmost split.  That is the axiom, conjunct introduction or the
+first division by `category_str`, since at most one kind applies: an
+`And` has only its conjunct rule, an axiom covers one letter and a
+division two or more.  Enumeration and replay read the translation too.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj import _Recognizer, check_letters
+from .conj import _Recognizer, cg_languages, check_letters
 from .errors import GrammarError
 from .grammars import CCG, ConjGrammar, Rule, chart_index
 from .syntax import (And, Category, LDiv, Prim, RDiv, category_latex,
@@ -126,71 +130,39 @@ def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str]]:
 
 class _CcgIndex:
     """What every query on one grammar shares, built on a grammar object's
-    first query (`grammars.chart_index`): the universe, the axioms by
-    symbol and the conjunct members of each `And` (for replay and
-    enumeration), the translation `ccg_translation` with its compiled
-    recognizer tables, and, by nonterminal id, what a derivation reads
-    back from a finished table."""
+    first query (`grammars.chart_index`): the universe, the translation
+    `ccg_translation` with its compiled recognizer tables, the category of
+    each nonterminal id, and each translated rule as a categorial
+    inference: its name, conclusion and premises (categories, or the
+    letter of an axiom)."""
 
     def __init__(self, g: CCG):
         self.universe = ccg_universe(g)
-        self.order: tuple[Category, ...] = tuple(sorted(self.universe, key=category_str))
-        self.axioms: dict[str, tuple[Category, ...]] = {
-            sym: g.axioms_for(sym) for sym in g.alphabet}
-        self.members: dict[Category, tuple[Category, ...]] = {
-            cat: conjunct_members(cat) for cat in self.order if isinstance(cat, And)}
-        translated, names = ccg_translation(g)
-        self.recognizer = _Recognizer(translated)
-        ids = {cat: self.recognizer.ids[name] for cat, name in names.items()}
-        self.ids = ids
+        self.translated, self.names = ccg_translation(g)
+        self.recognizer = _Recognizer(self.translated)
+        self.ids = ids = {cat: self.recognizer.ids[name] for cat, name in self.names.items()}
         self.categories: list[Category] = sorted(ids, key=ids.__getitem__)
-        # by id: the letters of its axioms, its conjunct members, and the
-        # divisions with it as numerator in `category_str` order
-        self.axiom_letters = [frozenset() for _ in ids]
-        for cat, sym in g.axioms:
-            self.axiom_letters[ids[cat]] |= {sym}
-        self.member_ids = [()] * len(ids)
-        for cat, members in self.members.items():
-            self.member_ids[ids[cat]] = tuple(ids[m] for m in members)
-        self.producers: list[list[tuple[str, int, int]]] = [[] for _ in ids]
-        for cat in self.order:
-            if isinstance(cat, LDiv):
-                self.producers[ids[cat.num]].append(("left_div", ids[cat.den], ids[cat]))
-            elif isinstance(cat, RDiv):
-                self.producers[ids[cat.num]].append(("right_div", ids[cat.den], ids[cat]))
+        category = {name: cat for cat, name in self.names.items()}
+        # A denominator is always a conjunct, so only a left-division rule
+        # has an `LDiv` as its second body item.
+        self.rules = tuple(
+            "and_intro" if len(rule.conjuncts) > 1
+            else "axiom" if len(rule.conjuncts[0]) == 1
+            else "left_div" if isinstance(category[rule.conjuncts[0][1]], LDiv)
+            else "right_div"
+            for rule in self.translated.rules)
+        self.inferences = frozenset(
+            (name, category[rule.head],
+             tuple(tuple(category.get(sym, sym) for sym in body) for body in rule.conjuncts))
+            for name, rule in zip(self.rules, self.translated.rules))
 
-    def tree(self, ends: list[list[int]], w: str, goal: int) -> CCGNode:
-        """The derivation of `goal` over all of `w` that the finished
-        table `ends` holds: at each node the axiom, else conjunct
-        introduction, else the first division with its leftmost split."""
-        pending = [(goal, 0, len(w))]
-        steps = []
-        while pending:
-            cat, i, j = pending.pop()
-            rule, premises = self._premises(ends, w, cat, i, j)
-            steps.append((cat, i, j, rule, len(premises)))
-            pending.extend(reversed(premises))
-        # `steps` lists the nodes in preorder; in reverse, each node's
-        # children are built just before it, first child on top
-        built: list[CCGNode] = []
-        for cat, i, j, rule, count in reversed(steps):
-            children = tuple(built.pop() for _ in range(count))
-            built.append(CCGNode(self.categories[cat], (i, j), rule, children))
-        return built[0]
-
-    def _premises(self, ends, w, cat, i, j) -> tuple[str, tuple]:
-        if j - i == 1 and w[i] in self.axiom_letters[cat]:
-            return "axiom", ()
-        members = self.member_ids[cat]
-        if members and all(ends[m][i] >> j & 1 for m in members):
-            return "and_intro", tuple((m, i, j) for m in members)
-        for rule, den, div in self.producers[cat]:
-            first, second = (den, div) if rule == "left_div" else (div, den)
-            left, right = ends[first][i], ends[second]
-            for k in range(i + 1, j):
-                if left >> k & 1 and right[k] >> j & 1:
-                    return rule, ((first, i, k), (second, k, j))
-        raise AssertionError(f"no premises for a derivable entry {(cat, i, j)}")
+    def build(self, nt: int, i: int, j: int, rule, groups) -> Optional[CCGNode]:
+        """A node of `_Recognizer.tree` as a categorial one; a letter
+        leaf is no node, since an axiom has no premises."""
+        if rule is None:
+            return None
+        children = tuple(child for group in groups for child in group if child is not None)
+        return CCGNode(self.categories[nt], (i, j), self.rules[rule], children)
 
 
 def _check_word(g: CCG, w: str):
@@ -211,7 +183,7 @@ def ccg_derive(g: CCG, category: Category, w: str) -> Optional[CCGDerivation]:
     ends = index.recognizer.fill(w, goal)
     if ends is None:
         return None
-    return CCGDerivation(w, index.tree(ends, w, goal))
+    return CCGDerivation(w, index.recognizer.tree(ends, w, goal, index.build))
 
 
 def ccg_member(g: CCG, w: str) -> bool:
@@ -222,45 +194,12 @@ def ccg_member(g: CCG, w: str) -> bool:
 
 
 def ccg_languages(g: CCG, max_len: int) -> dict[Category, frozenset[str]]:
-    """Per-category string sets up to `max_len`, by a length-capped fixpoint.
-
-    Every proposition in a derivation concerns a substring of the derived
-    string, so the cap is exact.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+    """Per-category string sets up to `max_len`: the translation's
+    per-nonterminal sets (`conj.cg_languages`), with no budget."""
     index = chart_index(g, _CcgIndex)
-    languages: dict[Category, set[str]] = {cat: set() for cat in index.order}
-    for cat, sym in g.axioms:
-        if max_len >= 1:
-            languages[cat].add(sym)
-    divisions = [cat for cat in index.order if isinstance(cat, (LDiv, RDiv))]
-
-    changed = True
-    while changed:
-        changed = False
-        for cat in divisions:
-            num, den = cat.num, cat.den
-            if isinstance(cat, RDiv):
-                combined = {v + u for v in languages[cat] for u in languages[den]
-                            if len(v) + len(u) <= max_len}
-            else:
-                combined = {u + v for u in languages[den] for v in languages[cat]
-                            if len(u) + len(v) <= max_len}
-            new = combined - languages[num]
-            if new:
-                languages[num].update(new)
-                changed = True
-        for cat, members in index.members.items():
-            # a member primitive outside the universe is underivable
-            shared = languages.get(members[0], set()).copy()
-            for p in members[1:]:
-                shared &= languages.get(p, set())
-            new = shared - languages[cat]
-            if new:
-                languages[cat].update(new)
-                changed = True
-    return {cat: frozenset(s) for cat, s in languages.items()}
+    languages = cg_languages(index.translated, max_len, budget=math.inf)
+    return {cat: frozenset(languages[index.names[cat]])
+            for cat in sorted(index.universe, key=category_str)}
 
 
 def ccg_enumerate(g: CCG, max_len: int) -> frozenset[str]:
@@ -283,30 +222,20 @@ def replay_derivation(g: CCG, d: CCGDerivation) -> bool:
 
 
 def _replay_step(index: _CcgIndex, w: str, node: CCGNode) -> bool:
-    """Does `node` follow from its children's propositions by its rule?"""
+    """Does `node` follow from its children's propositions by its rule,
+    read as the translated rule it names?"""
     i, j = node.span
-    if not (0 <= i < j <= len(w)) or node.category not in index.universe:
+    kids = node.children
+    if not 0 <= i < j <= len(w):
         return False
     if node.rule == "axiom":
-        return (not node.children and j == i + 1
-                and node.category in index.axioms.get(w[i], ()))
-    if node.rule == "and_intro":
-        members = index.members.get(node.category, ())
-        if len(node.children) != len(members) or len(members) < 2:
-            return False
-        return all(child.category == member and child.span == (i, j)
-                   for child, member in zip(node.children, members))
-    if node.rule in ("left_div", "right_div"):
-        if len(node.children) != 2:
-            return False
-        first, second = node.children
-        if first.span[0] != i or first.span[1] != second.span[0] or second.span[1] != j:
-            return False
-        if node.rule == "left_div":
-            div = second.category
-            return (isinstance(div, LDiv) and div.den == first.category
-                    and div.num == node.category)
-        div = first.category
-        return (isinstance(div, RDiv) and div.den == second.category
-                and div.num == node.category)
-    return False
+        spans = not kids and j == i + 1
+        premises = ((w[i],),)
+    elif node.rule == "and_intro":
+        spans = all(kid.span == (i, j) for kid in kids)
+        premises = tuple((kid.category,) for kid in kids)
+    else:
+        spans = (len(kids) == 2 and kids[0].span == (i, kids[1].span[0])
+                 and kids[1].span[1] == j)
+        premises = (tuple(kid.category for kid in kids),)
+    return spans and (node.rule, node.category, premises) in index.inferences

@@ -259,12 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="grammar membership, sequent proving, and grammar translation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", choices=("text", "json", "latex"), default="text")
+    def common(p, outputs=("text", "json", "latex"), budget=True):
+        """The options a subcommand reads: `--out`, `--output` when it
+        has more than one format, and `--budget` when it searches."""
+        if outputs:
+            p.add_argument("--output", choices=outputs, default="text")
         p.add_argument("--out", help="write the result to a file instead of stdout")
-        p.add_argument("--budget", type=_nonnegative_int, default=None,
-                       help=f"search budget (default from ${BUDGET_ENV} or "
-                            f"{DEFAULT_BUDGET})")
+        if budget:
+            p.add_argument("--budget", type=_nonnegative_int, default=None,
+                           help=f"search budget (default from ${BUDGET_ENV} or "
+                                f"{DEFAULT_BUDGET})")
 
     p = sub.add_parser("member", help="grammar membership for one string")
     p.add_argument("--grammar", required=True)
@@ -289,19 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", choices=("ccg", "bundle"), required=True)
     p.add_argument("--to", choices=_TRANSLATIONS, required=True)
     p.add_argument("--grammar", required=True)
-    common(p)
+    common(p, outputs=(), budget=False)
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("enumerate", help="all members up to a length bound")
     p.add_argument("--grammar", required=True)
     p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    common(p)
+    common(p, outputs=("text", "json"))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check-odd-form", aliases=["check-odd-normal-form"],
                        help="check the three permitted rule shapes")
     p.add_argument("--grammar", required=True)
-    common(p)
+    common(p, outputs=("text", "json"), budget=False)
     p.set_defaults(func=_cmd_check_odd_form)
 
     p = sub.add_parser("cvp", help="sequential-NOR circuit workbench")
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="also fuzz random larger circuits, reproducibly")
     p.add_argument("--samples", type=int, default=25)
-    common(p)
+    common(p, outputs=("text", "json"))
     p.set_defaults(func=_cmd_cvp)
 
     return parser

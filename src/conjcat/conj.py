@@ -56,22 +56,21 @@ class CGDerivation:
     word: str
     root: CGNode
 
-    def to_json(self, grammar: Optional[ConjGrammar] = None) -> str:
-        return json.dumps(_cg_node_json(self.root, self.word, grammar),
-                          sort_keys=True, indent=2) + "\n"
+    def to_json(self, grammar: ConjGrammar) -> str:
+        return json.dumps(_cg_node_json(self.root, grammar), sort_keys=True, indent=2) + "\n"
 
     def to_latex(self) -> str:
         return _cg_node_latex(self.root, self.word)
 
 
-def _cg_node_json(node: CGNode, w: str, g: Optional[ConjGrammar]):
+def _cg_node_json(node: CGNode, g: ConjGrammar):
     out = {"head": node.symbol if node.symbol else "eps",
            "span": list(node.span),
            "rule": None,
            "children": None}
     if node.rule_index is not None:
-        out["rule"] = str(g.rules[node.rule_index]) if g else node.rule_index
-        out["children"] = [[_cg_node_json(c, w, g) for c in group]
+        out["rule"] = str(g.rules[node.rule_index])
+        out["children"] = [[_cg_node_json(c, g) for c in group]
                            for group in node.children]
     return out
 
@@ -97,23 +96,14 @@ def _cg_node_latex(node: CGNode, w: str) -> str:
 # Membership
 # ---------------------------------------------------------------------------
 
-def _rules_by_head(g: ConjGrammar) -> dict[str, tuple[tuple[int, Rule], ...]]:
-    """The grammar's chart index: each head's rules in declaration order,
-    with their indices.  Built on a grammar object's first query
-    (`grammars.chart_index`)."""
-    by_head: dict[str, list[tuple[int, Rule]]] = {}
-    for idx, rule in enumerate(g.rules):
-        by_head.setdefault(rule.head, []).append((idx, rule))
-    return {head: tuple(rules) for head, rules in by_head.items()}
-
-
 # Marks a table entry whose computation is still on the call stack.
 _PENDING = object()
 
 
 class _Chart:
-    """Demand-driven span table: `derives(nt, i, j)` says whether `nt`
-    derives `w[i:j]`; with `i == j` it answers nullability.
+    """Demand-driven span table for `cg_member`: `derives(nt, i, j)` says
+    whether `nt` derives `w[i:j]`; with `i == j` it answers nullability.
+    Its rules come from the grammar's `_Recognizer`; trees, from `_Recognizer.tree`.
 
     A query on a span consults only that span and spans inside it, so
     spans never depend on each other cyclically, but the entries of one
@@ -124,28 +114,31 @@ class _Chart:
     entry and turned some entry of the span true.  Before it runs again,
     the span's negative entries, which may rest on a provisional "no",
     are forgotten, also when the query itself came out true.  Positive
-    entries stand: each was proved from entries already true, so their
-    backpointers never form a cycle.
+    entries stand: each was proved from entries already true.
 
-    The table maps `(nt, i, j)` to `(rule_index, splits)` when `nt`
+    The table maps `(nt, i, j)` (`nt` a nonterminal id) to True when `nt`
     derives `w[i:j]`, to None when it does not, and to `_PENDING` while
     the entry is being computed.
     """
 
     def __init__(self, g: ConjGrammar, w: str):
-        self.g = g
+        self.recognizer = chart_index(g, _Recognizer)
+        self.by_head = self.recognizer.by_head
+        self.alphabet = self.recognizer.alphabet
         self.w = w
-        self.rules_by_head = chart_index(g, _rules_by_head)
-        self.table: dict[tuple[str, int, int], object] = {}
+        self.table: dict[tuple[int, int, int], object] = {}
         # The span of the innermost outermost query, and about its current
         # pass: whether it read a pending entry, whether an entry of the
         # span turned true, and which negative entries it stored.
         self.span: Optional[tuple[int, int]] = None
         self.read_pending = False
         self.grew = False
-        self.negatives: list[tuple[str, int, int]] = []
+        self.negatives: list[tuple[int, int, int]] = []
 
     def derives(self, nt: str, i: int, j: int) -> bool:
+        return self._derives(self.recognizer.ids[nt], i, j)
+
+    def _derives(self, nt: int, i: int, j: int) -> bool:
         key = (nt, i, j)
         if key in self.table:
             entry = self.table[key]
@@ -160,7 +153,7 @@ class _Chart:
             while True:
                 self.read_pending = self.grew = False
                 self.negatives = []
-                found = self.derives(nt, i, j)
+                found = self._derives(nt, i, j)
                 if not (self.read_pending and self.grew):
                     break
                 for negative in self.negatives:
@@ -169,66 +162,45 @@ class _Chart:
                     break
             self.span, self.read_pending, self.grew, self.negatives = outer
             return found
-        # First rule, in declaration order, whose every conjunct has a
-        # split under the entries known now.
+        # Some rule whose every conjunct splits under the entries known now.
         self.table[key] = _PENDING
-        for idx, rule in self.rules_by_head.get(nt, ()):
-            splits = []
-            for body in rule.conjuncts:
-                split = self._match_splits(body, i, j)
-                if split is None:
+        for _, conjuncts in self.by_head[nt]:
+            for body in conjuncts:
+                if not self._splits(body, i, j):
                     break
-                splits.append(split)
             else:
-                self.table[key] = (idx, tuple(splits))
+                self.table[key] = True
                 self.grew = True
                 return True
         self.table[key] = None
         self.negatives.append(key)
         return False
 
-    def _match_splits(self, body: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
-        """Leftmost split of w[i:j] into the body items, or None."""
+    def _splits(self, body: tuple[int, ...], i: int, j: int) -> bool:
+        """Does w[i:j] split into the body items?"""
         last = len(body) - 1
         table = self.table
 
         def walk(idx, pos):
             if idx > last:
-                return [] if pos == j else None
-            sym = body[idx]
-            if sym in self.g.terminals:
-                if pos < j and self.w[pos] == sym:
-                    rest = walk(idx + 1, pos + 1)
-                    if rest is not None:
-                        return [(sym, pos, pos + 1)] + rest
-                return None
+                return pos == j
+            item = body[idx]
+            if item < 0:
+                return pos < j and self.w[pos] == self.alphabet[~item] and walk(idx + 1, pos + 1)
             # the last item must end the span; no other end point completes it
             for mid in range(j if idx == last else pos, j + 1):
                 # A settled entry is read in place: most lookups hit, and a
                 # call each would cost more than the rest of the split search.
-                entry = table.get((sym, pos, mid), _PENDING)
+                entry = table.get((item, pos, mid), _PENDING)
                 if entry is _PENDING:
-                    found = self.derives(sym, pos, mid)
+                    found = self._derives(item, pos, mid)
                 else:
                     found = entry is not None
-                if found:
-                    rest = walk(idx + 1, mid)
-                    if rest is not None:
-                        return [(sym, pos, mid)] + rest
-            return None
+                if found and walk(idx + 1, mid):
+                    return True
+            return False
 
-        out = walk(0, i)
-        return tuple(out) if out is not None else None
-
-    def tree(self, nt: str, i: int, j: int) -> CGNode:
-        idx, splits = self.table[(nt, i, j)]
-        groups = []
-        for split in splits:
-            group = tuple(CGNode(sym, (a, b)) if sym in self.g.terminals
-                          else self.tree(sym, a, b)
-                          for sym, a, b in split)
-            groups.append(group or (CGNode("", (i, i)),))
-        return CGNode(nt, (i, j), idx, tuple(groups))
+        return walk(0, i)
 
 
 class _Recognizer:
@@ -249,18 +221,20 @@ class _Recognizer:
     the table is exact, and no step recurses.
 
     Everything that depends on the grammar alone is compiled here once:
-    nonterminal ids, the nullable set, FIRST and LAST letter sets (of
-    nonempty derived words), and, for each letter, the rules whose FIRST
-    set holds it, grouped by component.  Categorial membership and
-    derivations run on these tables over `ccg_to_cg`; `cg_member` keeps
-    `_Chart` until the benchmark's per-operation tally stops counting a
-    faster chart as more memory, and then moves here.
+    nonterminal ids, each head's rules, the nullable set, FIRST and LAST
+    letter sets (of nonempty derived words), the cyclic left-corner
+    components, and, for each letter, the rules whose FIRST set holds it,
+    grouped by component.  Categorial membership and every derivation
+    tree (`tree`) run on these tables; `cg_member` keeps `_Chart` until
+    the benchmark's per-operation tally stops counting a faster chart as
+    more memory, and then moves here.
     """
 
     def __init__(self, g: ConjGrammar):
-        names = sorted(g.nonterminals)
+        self.names = names = sorted(g.nonterminals)
         self.ids = ids = {nt: k for k, nt in enumerate(names)}
-        self.letters = letters = {t: k for k, t in enumerate(sorted(g.terminals))}
+        self.alphabet = sorted(g.terminals)
+        self.letters = letters = {t: k for k, t in enumerate(self.alphabet)}
         nullable = nullable_nonterminals(g)
         self.nullable = tuple(ids[nt] for nt in sorted(nullable))
         first = _edge_letters(g, nullable, reverse=False)
@@ -288,17 +262,20 @@ class _Recognizer:
                     if sym not in nullable:
                         break
         components = _components([tuple(sorted(c)) for c in corners])
-        by_head: list[list[int]] = [[] for _ in ids]
-        for k, (head, _) in enumerate(rules):
-            by_head[head].append(k)
+        self.cyclic = frozenset(nt for comp in components for nt in comp
+                                if len(comp) > 1 or comp[0] in corners[comp[0]])
+        # by head id: its rules as (rule index, conjuncts), in declaration order
+        self.by_head: list[list[tuple]] = [[] for _ in ids]
+        for k, (head, conjuncts) in enumerate(rules):
+            self.by_head[head].append((k, conjuncts))
         # plans[letter]: the steps of a start at that letter, each a
         # (cyclic, rules) pair; adjacent acyclic components share a step
         self.plans = []
         for letter in sorted(letters):
             steps: list[tuple[bool, list]] = []
             for comp in components:
-                cyclic = len(comp) > 1 or comp[0] in corners[comp[0]]
-                chosen = [rules[k] for k in sorted(k for nt in comp for k in by_head[nt])
+                cyclic = comp[0] in self.cyclic
+                chosen = [rules[k] for k in sorted(k for nt in comp for k, _ in self.by_head[nt])
                           if letter in rule_first[k]]
                 if not chosen:
                     continue
@@ -361,6 +338,90 @@ class _Recognizer:
                                 row[i] |= got
                                 grew = cyclic
         return ends
+
+    def tree(self, ends: list[list[int]], w: str, goal: int, build):
+        """The derivation of `goal` over `w` in its finished table `ends`,
+        from an explicit stack.  `build(item, i, j, rule, groups)` makes a
+        letter leaf when `rule` is None, else the node of nonterminal
+        `item` on `w[i:j]` citing `rule`, from its children per conjunct.
+
+        A node cites its head's first rule, in declaration order, whose
+        conjuncts all split, leftmost first, into table entries.  An entry
+        on the node's own span counts only if it derives that span without
+        the nonterminals above it there (`_avoiding`), so no tree closes a
+        same-span cycle."""
+        pending = [(goal, 0, len(w), frozenset())]
+        steps = []
+        while pending:
+            nt, i, j, above = pending.pop()
+            above |= {nt}
+            counts = self._avoiding(ends, w, i, j, above) if nt in self.cyclic else self.cyclic
+            rule, splits = self._premises(ends, w, nt, i, j, counts)
+            steps.append((nt, i, j, rule, splits))
+            for split in reversed(splits):
+                for item, a, b in reversed(split):
+                    if item >= 0:
+                        pending.append((item, a, b, above if (a, b) == (i, j) else frozenset()))
+        # `steps` lists the nodes in preorder; in reverse, each node's
+        # children are built just before it, first child on top
+        built = []
+        for nt, i, j, rule, splits in reversed(steps):
+            groups = tuple(tuple(built.pop() if item >= 0 else build(item, a, b, None, ())
+                                 for item, a, b in split)
+                           for split in splits)
+            built.append(build(nt, i, j, rule, groups))
+        return built[0]
+
+    def _avoiding(self, ends, w, i, j, above) -> set[int]:
+        """The cyclic nonterminals that derive `w[i:j]` without `above` on
+        that span: a least fixpoint, each round splitting with the ones
+        found so far, so the check never recurses.  Other entries count as
+        they stand, which is exact for all that `above` reaches there."""
+        found: set[int] = set()
+        grew = True
+        while grew:
+            grew = False
+            for nt in self.cyclic - above - found:
+                if ends[nt][i] >> j & 1 and self._premises(ends, w, nt, i, j, found):
+                    found.add(nt)
+                    grew = True
+        return found
+
+    def _premises(self, ends, w, nt, i, j, counts) -> Optional[tuple[int, list]]:
+        """The first rule of `nt` with the leftmost splits of its conjuncts
+        over `w[i:j]`, or None; a cyclic entry on that span needs `counts`."""
+        for rule, conjuncts in self.by_head[nt]:
+            splits = [self._split(ends, w, body, i, j, counts) for body in conjuncts]
+            if None not in splits:
+                return rule, splits
+        return None
+
+    def _split(self, ends, w, body, i, j, counts) -> Optional[list]:
+        """The leftmost split of `w[i:j]` into `(item, start, end)`, or None."""
+        last = len(body) - 1
+
+        def walk(k, pos):
+            if k > last:
+                return [] if pos == j else None
+            item = body[k]
+            if item >= 0:
+                mids = ends[item][pos]
+            else:
+                mids = 2 << pos if pos < j and w[pos] == self.alphabet[~item] else 0
+            # the last item must end the span; no other end point completes it
+            mids &= 1 << j if k == last else (2 << j) - 1
+            while mids:
+                low = mids & -mids
+                mids ^= low
+                mid = low.bit_length() - 1
+                if (pos, mid) == (i, j) and item in self.cyclic and item not in counts:
+                    continue
+                rest = walk(k + 1, mid)
+                if rest is not None:
+                    return [(item, pos, mid)] + rest
+            return None
+
+        return walk(0, i)
 
 
 def _body_letters(body: tuple[str, ...], sets: dict[str, frozenset[str]],
@@ -470,24 +531,28 @@ def cg_member(g: ConjGrammar, w: str, start: Optional[str] = None) -> bool:
 
 def cg_derivation(g: ConjGrammar, w: str,
                   start: Optional[str] = None) -> Optional[CGDerivation]:
-    """A derivation tree for `w`, or None; raises as `cg_member` does.
-
-    The tree is a function of the grammar, the word and the start symbol.
-    Each node cites the first rule, in declaration order and with the
-    leftmost split, that applies given what the chart knew when it
-    computed that node's entry.  Unless the computation met a same-span
-    cycle (read an entry still being computed), that is the first rule
-    that applies at all; inside such a cycle it can be a later rule.
-    Every tree replays.
+    """A derivation tree for `w`, or None; raises on bad input as
+    `cg_member` does.  It is read off the recognizer's table without
+    recursion (`_Recognizer.tree`): each node cites the first rule, in
+    declaration order and with the leftmost split, whose premises are
+    derivable, a premise on the node's own span without the nonterminals
+    above it there.  So no tree closes a same-span cycle, and every tree
+    replays.
     """
     start = _checked_start(g, w, start)
-    chart = _Chart(g, w)
-    try:
-        if not chart.derives(start, 0, len(w)):
-            return None
-        return CGDerivation(w, chart.tree(start, 0, len(w)))
-    except RecursionError:
-        raise chart_too_deep(w) from None
+    recognizer = chart_index(g, _Recognizer)
+    goal = recognizer.ids[start]
+    ends = recognizer.fill(w, goal)
+    if ends is None:
+        return None
+
+    def build(nt, i, j, rule, groups):
+        if rule is None:
+            return CGNode(w[i], (i, j))
+        return CGNode(recognizer.names[nt], (i, j), rule,
+                      tuple(group or (CGNode("", (i, i)),) for group in groups))
+
+    return CGDerivation(w, recognizer.tree(ends, w, goal, build))
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +562,22 @@ def cg_derivation(g: ConjGrammar, w: str,
 def cg_enumerate(g: ConjGrammar, max_len: int,
                  budget: int = DEFAULT_ENUM_BUDGET,
                  start: Optional[str] = None) -> frozenset[str]:
-    """All derivable strings of length at most `max_len`.
+    """All derivable strings of length at most `max_len`."""
+    start = _checked_start(g, "", start)
+    return frozenset(cg_languages(g, max_len, budget)[start])
+
+
+def cg_languages(g: ConjGrammar, max_len: int,
+                 budget: float = DEFAULT_ENUM_BUDGET) -> dict[str, set[str]]:
+    """Each nonterminal's derivable strings of length at most `max_len`.
 
     Computed as the length-capped least fixpoint over per-nonterminal
     string sets; every proposition in a derivation concerns a substring
-    of the derived string, so the cap loses nothing.
+    of the derived string, so the cap loses nothing.  A `BudgetError`
+    stops a fixpoint whose sets hold more than `budget` strings.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    start = _checked_start(g, "", start)
     languages: dict[str, set[str]] = {nt: set() for nt in g.nonterminals}
 
     def body_language(body: tuple[str, ...]) -> set[str]:
@@ -532,7 +604,7 @@ def cg_enumerate(g: ConjGrammar, max_len: int,
                 changed = True
         if sum(len(s) for s in languages.values()) > budget:
             raise BudgetError("enumeration exceeded its string budget")
-    return frozenset(languages[start])
+    return languages
 
 
 # ---------------------------------------------------------------------------
@@ -596,39 +668,38 @@ def _is_start_extension_rule(g: ConjGrammar, rule: Rule) -> bool:
 # ---------------------------------------------------------------------------
 
 def replay_derivation(g: ConjGrammar, d: CGDerivation, start: Optional[str] = None) -> bool:
-    """Check a derivation bottom-up against the rules, spans, and word."""
+    """Check a derivation against the rules, spans, and word, one node at
+    a time from an explicit stack."""
     start = g.start if start is None else start
-    root = d.root
-    if root.symbol != start or root.span != (0, len(d.word)):
+    w = d.word
+    if d.root.symbol != start or d.root.span != (0, len(w)):
         return False
-    return _replay_node(g, d.word, root)
-
-
-def _replay_node(g: ConjGrammar, w: str, node: CGNode) -> bool:
-    i, j = node.span
-    if node.rule_index is None:
-        if node.symbol == "":
-            return i == j
-        return (node.symbol in g.terminals and j == i + 1 and w[i] == node.symbol)
-    if not (0 <= node.rule_index < len(g.rules)):
-        return False
-    rule = g.rules[node.rule_index]
-    if rule.head != node.symbol or len(node.children) != len(rule.conjuncts):
-        return False
-    for body, group in zip(rule.conjuncts, node.children):
-        if not body:
-            if len(group) != 1 or group[0].symbol != "" or group[0].span != (i, i):
+    pending = [d.root]
+    while pending:
+        node = pending.pop()
+        i, j = node.span
+        if node.rule_index is None:
+            if not (node.symbol in g.terminals and j == i + 1 and w[i] == node.symbol):
                 return False
             continue
-        if tuple(c.symbol for c in group) != body:
+        if not (0 <= node.rule_index < len(g.rules)):
             return False
-        pos = i
-        for child in group:
-            if child.span[0] != pos:
+        rule = g.rules[node.rule_index]
+        if rule.head != node.symbol or len(node.children) != len(rule.conjuncts):
+            return False
+        for body, group in zip(rule.conjuncts, node.children):
+            if not body:
+                if len(group) != 1 or group[0].symbol != "" or group[0].span != (i, i):
+                    return False
+                continue
+            if tuple(c.symbol for c in group) != body:
                 return False
-            pos = child.span[1]
-        if pos != j:
-            return False
-        if not all(_replay_node(g, w, child) for child in group):
-            return False
+            pos = i
+            for child in group:
+                if child.span[0] != pos:
+                    return False
+                pos = child.span[1]
+            if pos != j:
+                return False
+            pending.extend(group)
     return True

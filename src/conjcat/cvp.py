@@ -54,10 +54,6 @@ class Circuit:
                     raise GrammarError(
                         f"gate {i} references gate {gate.arg}, which is not earlier")
 
-    @property
-    def num_inputs(self) -> int:
-        return sum(1 for g in self.gates if isinstance(g, Input))
-
 
 def eval_circuit(c: Circuit) -> int:
     """The value of the last gate."""

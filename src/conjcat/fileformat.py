@@ -234,6 +234,8 @@ def loads_bundle(text: str):
         m = re.match(r"^quotient\s+(\S+)\s*\{$", stripped)
         if m:
             letter = _symbol_token(m.group(1))
+            if letter in quotients:
+                raise ParseError(f"duplicate quotient block for {letter!r}")
             block = []
             while i < len(lines):
                 inner = _strip_comment(lines[i]).strip()
@@ -248,6 +250,8 @@ def loads_bundle(text: str):
             continue
         m = _HEADER_RE.match(stripped)
         if m:
+            if m.group(1) in headers:
+                raise ParseError(f"duplicate header {m.group(1)!r}")
             headers[m.group(1)] = m.group(2).strip()
             continue
         raise ParseError(f"unexpected bundle line: {stripped!r}")

@@ -78,10 +78,6 @@ class ConjGrammar:
     def rules_for(self, head: str) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.head == head)
 
-    def with_start(self, start: str) -> "ConjGrammar":
-        """Same grammar, different start symbol."""
-        return ConjGrammar(self.terminals, self.nonterminals, start, self.rules)
-
 
 def conj_grammar(start: str, rules: list[tuple[str, list[list[str]]]],
                  terminals: set[str]) -> ConjGrammar:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import sys
@@ -104,6 +105,30 @@ def test_derivation_replay_and_determinism():
     import dataclasses
     bad = dataclasses.replace(d.root, category=x)
     assert not replay_derivation(g, CCGDerivation("bacaca", bad))
+
+
+def _one_node_changes(node):
+    """Trees that differ from `node`'s in exactly one node."""
+    for rule in ("axiom", "and_intro", "left_div", "right_div"):
+        if rule != node.rule:
+            yield dataclasses.replace(node, rule=rule)
+    yield dataclasses.replace(node, category=y if node.category == x else x)
+    yield dataclasses.replace(node, span=(node.span[0], node.span[1] + 1))
+    if len(set(node.children)) > 1:
+        yield dataclasses.replace(node, children=node.children[::-1])
+    for k, child in enumerate(node.children):
+        for changed in _one_node_changes(child):
+            yield dataclasses.replace(
+                node, children=node.children[:k] + (changed,) + node.children[k + 1:])
+
+
+def test_replay_rejects_every_one_node_change():
+    g = samples.three_block_ccg()
+    d = ccg_derive(g, s, "bacaca")
+    changed = list(_one_node_changes(d.root))
+    assert len(changed) > 50
+    for root in changed:
+        assert not replay_derivation(g, CCGDerivation("bacaca", root)), root
 
 
 def test_derivation_exports():

@@ -11,7 +11,7 @@ import conjcat.ccg as ccg_mod
 import conjcat.conj as conj_mod
 import conjcat.samples as samples
 from conjcat.ccg import ccg_derive, ccg_member, replay_derivation
-from conjcat.conj import cg_member
+from conjcat.conj import cg_derivation, cg_member
 from conjcat.fileformat import dumps_grammar, load_grammar
 
 WORDS = ["".join(p) for n in range(1, 7) for p in itertools.product("abc", repeat=n)]
@@ -28,7 +28,7 @@ def grammar_files(tmp_path):
 
 def test_index_is_built_once_per_grammar_object(monkeypatch, grammar_files):
     builds = {"ccg": 0, "cg": 0}
-    real_ccg, real_cg = ccg_mod._CcgIndex, conj_mod._rules_by_head
+    real_ccg, real_cg = ccg_mod._CcgIndex, conj_mod._Recognizer
 
     def counting_ccg(g):
         builds["ccg"] += 1
@@ -39,7 +39,7 @@ def test_index_is_built_once_per_grammar_object(monkeypatch, grammar_files):
         return real_cg(g)
 
     monkeypatch.setattr(ccg_mod, "_CcgIndex", counting_ccg)
-    monkeypatch.setattr(conj_mod, "_rules_by_head", counting_cg)
+    monkeypatch.setattr(conj_mod, "_Recognizer", counting_cg)
     ccg_path, cg_path = grammar_files
     g_ccg, g_cg = load_grammar(ccg_path), load_grammar(cg_path)
     assert builds == {"ccg": 0, "cg": 0}  # loading builds nothing
@@ -50,6 +50,8 @@ def test_index_is_built_once_per_grammar_object(monkeypatch, grammar_files):
     # derivations and replays read the same index
     d = ccg_derive(g_ccg, g_ccg.target, "bacaca")
     assert replay_derivation(g_ccg, d)
+    tree = cg_derivation(g_cg, "bacaca")
+    assert conj_mod.replay_derivation(g_cg, tree)
     assert builds == {"ccg": 1, "cg": 1}
 
 

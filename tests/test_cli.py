@@ -169,6 +169,23 @@ def test_check_odd_form(capsys, tmp_path, three_block_cg_file):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["translate", "--from", "ccg", "--to", "cg", "--output", "json"],
+    ["translate", "--from", "ccg", "--to", "cg", "--budget", "5"],
+    ["enumerate", "--max-len", "3", "--output", "latex"],
+    ["check-odd-form", "--output", "latex"],
+    ["check-odd-form", "--budget", "5"],
+    ["cvp", "eval", "in:0 nor:1 nor:1", "--output", "latex"],
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, three_block_cg_file,
+                                                             argv):
+    if argv[0] != "cvp":
+        argv += ["--grammar", three_block_cg_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
 def test_cvp_commands(capsys):
     code, out, _ = run(capsys, "cvp", "eval", "in:0 nor:1 nor:1")
     assert code == 1 and out == "0\n"

@@ -1,5 +1,8 @@
+import dataclasses
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -114,14 +117,29 @@ def test_chart_recursion_is_a_budget_error_not_a_no():
     # runs out of stack; that must not read as "not a member".
     g = conj_grammar("S", [("S", [["a", "S"]]), ("S", [["X"]]), ("X", [["b"]])],
                      terminals={"a", "b"})
-    deep = "a" * 4000 + "b"
-    for query in (cg_member, cg_derivation):
-        with pytest.raises(BudgetError, match="length 4001"):
-            query(g, deep)
+    with pytest.raises(BudgetError, match="length 4001"):
+        cg_member(g, "a" * 4000 + "b")
     # The index was built before the chart recursed, and it still serves.
     assert "_chart_index" in vars(g)
     assert cg_member(g, "a" * 3000 + "b")
     assert not cg_member(g, "a" * 3000)
+
+
+def test_derivations_are_read_and_replayed_without_recursion():
+    g = conj_grammar("S", [("S", [["a", "S"]]), ("S", [["X"]]), ("X", [["b"]])],
+                     terminals={"a", "b"})
+    old_limit = sys.getrecursionlimit()
+    # a few frames above this one: any recursion through the word fails
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        trees = [cg_derivation(g, "a" * n + "b") for n in (4000, 12000)]
+        assert all(replay_derivation(g, d) for d in trees)
+        assert cg_derivation(g, "a" * 4000) is None
+    finally:
+        sys.setrecursionlimit(old_limit)
+    for d in trees:
+        assert d.root.span == (0, len(d.word)) and d.root.rule_index == 0
+        assert [c.span for c in d.root.children[0]] == [(0, 1), (1, len(d.word))]
 
 
 # --- enumeration -------------------------------------------------------------
@@ -277,6 +295,24 @@ def test_derivation_replay_cvp_and_eps():
     assert d is not None and replay_derivation(eps_g, d)
 
 
+@pytest.mark.parametrize("rules, cited", [
+    # A derives "a" only through S, the node above it: S -> a applies first
+    ([("S", [["A"]]), ("S", [["a"]]), ("A", [["S"]])], ["S -> a"]),
+    # B avoids S, A and itself on the span, though B -> S comes first
+    ([("S", [["A"]]), ("A", [["B"]]), ("B", [["S"]]), ("B", [["a"]])],
+     ["S -> A", "A -> B", "B -> a"]),
+])
+def test_trees_close_no_same_span_cycle(rules, cited):
+    g = conj_grammar("S", rules, terminals={"a"})
+    d = cg_derivation(g, "a")
+    assert replay_derivation(g, d)
+    node, got = d.root, []
+    while node.rule_index is not None:
+        got.append(str(g.rules[node.rule_index]))
+        node = node.children[0][0]
+    assert got == cited
+
+
 def test_derivation_is_deterministic():
     g = samples.three_block_conj()
     assert cg_derivation(g, "bacaca") == cg_derivation(g, "bacaca")
@@ -289,6 +325,30 @@ def test_derivation_exports():
     assert '"head": "S"' in blob
     latex = d.to_latex()
     assert latex.startswith(r"\infer") and "S(bacaca)" in latex
+
+
+def _one_node_changes(node, rules):
+    """Trees that differ from `node`'s in exactly one node."""
+    yield dataclasses.replace(node, symbol="A" if node.symbol != "A" else "B")
+    yield dataclasses.replace(node, span=(node.span[0], node.span[1] + 1))
+    if node.rule_index is not None:
+        yield dataclasses.replace(node, rule_index=(node.rule_index + 1) % rules)
+        yield dataclasses.replace(node, children=node.children[:-1])
+    for k, group in enumerate(node.children or ()):
+        for m, child in enumerate(group):
+            for changed in _one_node_changes(child, rules):
+                changed_group = group[:m] + (changed,) + group[m + 1:]
+                yield dataclasses.replace(node, children=node.children[:k] + (
+                    changed_group,) + node.children[k + 1:])
+
+
+def test_replay_rejects_every_one_node_change():
+    for g, w in ((samples.three_block_conj(), "bacaca"), (cvp_grammar(), "aababb0")):
+        d = cg_derivation(g, w)
+        changed = list(_one_node_changes(d.root, len(g.rules)))
+        assert len(changed) > 20
+        for root in changed:
+            assert not replay_derivation(g, CGDerivation(w, root)), root
 
 
 def test_replay_rejects_tampered_tree():

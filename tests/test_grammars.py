@@ -139,6 +139,26 @@ def test_bundle_roundtrip():
         assert all(again.eps(a) == bundle.eps(a) for a in bundle.alphabet)
 
 
+QUOTIENT_A = "quotient a {\n  terminals: a\n  start: S\n  S -> 'a' ;\n}\n"
+
+
+def test_bundle_rejects_a_second_alphabet():
+    with pytest.raises(ParseError, match="duplicate header 'alphabet'"):
+        loads_bundle("kind: bundle\nalphabet: a\nalphabet: b\n")
+
+
+def test_bundle_rejects_a_second_eps_line():
+    with pytest.raises(ParseError, match="duplicate header 'eps'"):
+        loads_bundle("kind: bundle\nalphabet: a\neps: a\neps:\n")
+
+
+def test_bundle_rejects_a_second_quotient_block_for_a_letter():
+    text = "kind: bundle\nalphabet: a\n" + QUOTIENT_A
+    assert set(loads_bundle(text).quotients) == {"a"}
+    with pytest.raises(ParseError, match="duplicate quotient block for 'a'"):
+        loads_bundle(text + QUOTIENT_A)
+
+
 # random grammar round trip: rules over a tiny vocabulary
 @st.composite
 def random_cg(draw):

@@ -1,6 +1,6 @@
 """The bitset recognizer (`conj._Recognizer`) that categorial membership
-and derivations run on: golden digests of the trees and translations it
-must reproduce, and differential checks against the demand-driven
+and all derivations run on: golden digests of the trees and translations
+it must reproduce, and differential checks against the demand-driven
 conjunctive chart and against enumeration."""
 
 import hashlib
@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 import conjcat.samples as samples
 from conjcat.ccg import (ccg_derive, ccg_enumerate, ccg_languages, ccg_member,
                          ccg_universe, replay_derivation)
-from conjcat.conj import _Chart, _Recognizer, cg_member
+from conjcat.conj import _Chart, _Recognizer, cg_derivation, cg_member
+from conjcat.conj import replay_derivation as conj_replay
 from conjcat.cvp import cvp_grammar, encode_circuit, enumerate_circuits
 from conjcat.fileformat import dumps_grammar
 from conjcat.fuzz import random_conj_grammar
@@ -39,6 +40,35 @@ GOLDEN = {
 }
 
 
+# SHA-256 digest of every conjunctive tree (`cg_derivation`, its JSON and
+# LaTeX, or `-`) over `conj_tree_cases`, taken from the demand-driven
+# chart before trees moved to the recognizer's table.
+GOLDEN_CONJ_TREES = "5e1e8d2b52bf473bb63b46ede71b1c7c6f8b734fd6b23227b2564bf78851b627"
+
+
+def words_over(letters, lo, hi):
+    for n in range(lo, hi + 1):
+        for combo in itertools.product(letters, repeat=n):
+            yield "".join(combo)
+
+
+def conj_tree_cases():
+    """The three-block grammar on words over abc up to length 7, the
+    circuit grammar on words over 01ab of length 1 to 7, and 300 random
+    grammars from every nonterminal on words over ab up to length 5."""
+    g = samples.three_block_conj()
+    for w in words_over("abc", 0, 7):
+        yield g, g.start, w
+    g = cvp_grammar()
+    for w in words_over("01ab", 1, 7):
+        yield g, g.start, w
+    for seed in range(300):
+        g = random_conj_grammar(random.Random(seed))
+        for start in sorted(g.nonterminals):
+            for w in words_over("ab", 0, 5):
+                yield g, start, w
+
+
 def derivation_digest(g, max_len=7) -> str:
     """One digest over `ccg_derive` for every universe category and every
     word of length 1..max_len: the JSON and LaTeX of each tree, or `-`."""
@@ -59,6 +89,19 @@ def test_translations_and_trees_match_the_golden_digests():
         g = make()
         assert hashlib.sha256(dumps_grammar(ccg_to_cg(g)).encode()).hexdigest() == translation, name
         assert derivation_digest(g) == trees, name
+
+
+def test_conjunctive_trees_match_the_golden_digest_and_replay():
+    h = hashlib.sha256()
+    for g, start, w in conj_tree_cases():
+        d = cg_derivation(g, w, start)
+        h.update(f"{start} {w}\n".encode())
+        if d is None:
+            h.update(b"-\n")
+        else:
+            assert conj_replay(g, d, start), (start, w)
+            h.update((d.to_json(g) + d.to_latex() + "\n").encode())
+    assert h.hexdigest() == GOLDEN_CONJ_TREES
 
 
 # --- the kernel against the demand-driven chart -------------------------------
