@@ -259,16 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="grammar membership, sequent proving, and grammar translation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, outputs=("text", "json", "latex"), budget=True):
+    search_budget = f"search budget (default from ${BUDGET_ENV} or {DEFAULT_BUDGET})"
+
+    def common(p, outputs=("text", "json", "latex"), budget=search_budget):
         """The options a subcommand reads: `--out`, `--output` when it
-        has more than one format, and `--budget` when it searches."""
+        has more than one format, and `--budget`, described by `budget`,
+        when it searches."""
         if outputs:
             p.add_argument("--output", choices=outputs, default="text")
         p.add_argument("--out", help="write the result to a file instead of stdout")
         if budget:
-            p.add_argument("--budget", type=_nonnegative_int, default=None,
-                           help=f"search budget (default from ${BUDGET_ENV} or "
-                                f"{DEFAULT_BUDGET})")
+            p.add_argument("--budget", type=_nonnegative_int, default=None, help=budget)
 
     p = sub.add_parser("member", help="grammar membership for one string")
     p.add_argument("--grammar", required=True)
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", choices=("ccg", "bundle"), required=True)
     p.add_argument("--to", choices=_TRANSLATIONS, required=True)
     p.add_argument("--grammar", required=True)
-    common(p, outputs=(), budget=False)
+    common(p, outputs=(), budget=None)
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("enumerate", help="all members up to a length bound")
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-odd-form", aliases=["check-odd-normal-form"],
                        help="check the three permitted rule shapes")
     p.add_argument("--grammar", required=True)
-    common(p, outputs=("text", "json"), budget=False)
+    common(p, outputs=("text", "json"), budget=None)
     p.set_defaults(func=_cmd_check_odd_form)
 
     p = sub.add_parser("cvp", help="sequential-NOR circuit workbench")
@@ -317,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="also fuzz random larger circuits, reproducibly")
     p.add_argument("--samples", type=int, default=25)
-    common(p, outputs=("text", "json"))
+    common(p, outputs=("text", "json"),
+           budget=f"member: the most preimages to check (default "
+                  f"{cvp_mod.DEFAULT_CSP_BUDGET}; ${BUDGET_ENV} is not read)")
     p.set_defaults(func=_cmd_cvp)
 
     return parser

@@ -421,7 +421,10 @@ class _Recognizer:
                     return [(item, pos, mid)] + rest
             return None
 
-        return walk(0, i)
+        try:
+            return walk(0, i)
+        finally:
+            del walk  # the closure refers to itself; leave no cycle behind
 
 
 def _body_letters(body: tuple[str, ...], sets: dict[str, frozenset[str]],

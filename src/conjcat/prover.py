@@ -11,8 +11,11 @@ completeness:
 - a primitive-count necessary condition: counting occurrences per
   primitive (numerators positive, denominators negative, additive
   choices widened to an interval), a derivable sequent must admit a zero
-  balance.  Both searches sum a goal's intervals, built once per subterm,
-  into one pair of accumulators;
+  balance.  A cache numbers each primitive the first time it meets it,
+  and an interval is a pair of ints, each packing one signed count field
+  per primitive number.  Both searches sum a goal's intervals, built once
+  per subterm, with two int additions a term and decide every primitive
+  at once with two mask tests;
 
 - (->+) fires as a burst: a `+`-succedent chain is decomposed straight
   down to the chosen leaf instead of one step at a time.  Partial choices
@@ -47,6 +50,7 @@ between calls and across threads; concurrent queries return the same
 results as sequential ones.
 """
 
+import functools
 import itertools
 import json
 import sys
@@ -66,25 +70,29 @@ DEFAULT_BUDGET = 10_000_000
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
 
-_Interval = dict[str, tuple[int, int]]
 _MISS = object()
 
 
 class SearchCache:
     """Shareable memo tables, keyed by calculus, with the primitive-count
-    intervals and the formula numbers that the searches share.
+    intervals, the primitive numbers and the formula numbers that the
+    searches share.
 
-    The one-sided search numbers each formula the first time it meets one
+    The balance check numbers each primitive name the first time it meets
+    it, and packs an interval's counts into ints by those numbers.  The
+    one-sided search numbers each formula the first time it meets one
     equal to it, and keys a goal by its rotation with the least tuple of
     numbers.  With a fresh cache a returned tree therefore depends only on
     the query, not on the hash seed.  With a shared cache it depends on
     the cache's history, as memo hits already made it do; derivability
     never does.  Two threads may give two formulas one number, which only
-    weakens the sharing of memo entries."""
+    weakens the sharing of memo entries, or two primitives one number,
+    which only weakens the pruning."""
 
     def __init__(self):
         self.tables: dict[str, dict] = {}
         self.intervals: dict = {}
+        self.primitive_numbers: dict = {}
         self.formula_numbers: dict = {}
 
     def table(self, name: str) -> dict:
@@ -146,56 +154,68 @@ def _proof_latex(t: ProofTree) -> str:
 # Primitive-count pruning
 # ---------------------------------------------------------------------------
 
-def _interval(node: Union[Category, Formula], memo: dict) -> Optional[_Interval]:
+# An interval is a pair (low, high) of packed vectors, each the exact sum
+# of count << (_WIDTH * number) over the primitives, so adding intervals is
+# adding ints.  A field decodes while its count's magnitude is below _HALF.
+# A count is at most the goal's primitive occurrences, and a term of size
+# _LARGE or more gets no interval (it matches anything, as with `top`), so
+# a goal needs 2**43 terms to overflow a field, more than fit in memory.
+_WIDTH = 64
+_HALF = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+_LARGE = 1 << 20
+
+
+def _interval(node: Union[Category, Formula], memo: dict,
+              numbers: dict) -> Optional[tuple[int, int]]:
     """Occurrences per primitive of a category or formula, as an interval:
     numerators and positive atoms count up, denominators and negated atoms
     down, and an additive choice widens to the hull of its operands.  None
-    means "contains the additive truth", which matches anything."""
+    means "contains the additive truth", which matches anything.  Each
+    primitive is numbered the first time `numbers` sees it."""
     hit = memo.get(node, _MISS)
     if hit is not _MISS:
         return hit
-    if isinstance(node, Prim):
-        out: Optional[_Interval] = {node.name: (1, 1)}
-    elif isinstance(node, Atom):
-        out = {node.name: (-1, -1) if node.negated else (1, 1)}
+    if isinstance(node, (Prim, Atom)):
+        unit = 1 << (_WIDTH * numbers.setdefault(node.name, len(numbers)))
+        out: Optional[tuple[int, int]] = \
+            (-unit, -unit) if isinstance(node, Atom) and node.negated else (unit, unit)
     elif isinstance(node, Const):
-        out = None if node is TOP else {}
+        out = None if node is TOP else (0, 0)
     else:
-        left = _interval(node.left, memo)
-        right = _interval(node.right, memo)
-        if left is None or right is None:
+        left = _interval(node.left, memo, numbers)
+        right = _interval(node.right, memo, numbers)
+        if left is None or right is None or node.size >= _LARGE:
             out = None
         elif isinstance(node, LDiv):  # den\num
-            out = _add(right, _neg(left))
+            out = (right[0] - left[1], right[1] - left[0])
         elif isinstance(node, RDiv):  # num/den
-            out = _add(left, _neg(right))
+            out = (left[0] - right[1], left[1] - right[0])
         elif isinstance(node, (Prod, Times, Par)):
-            out = _add(left, right)
+            out = (left[0] + right[0], left[1] + right[1])
         else:  # And, Or, With, Plus: either operand may be chosen
-            out = _hull(left, right)
+            out = (_hull(left[0], right[0], min), _hull(left[1], right[1], max))
     memo[node] = out
     return out
 
 
-def _add(a: _Interval, b: _Interval) -> _Interval:
-    out = dict(a)
-    for name, (lo, hi) in b.items():
-        alo, ahi = out.get(name, (0, 0))
-        out[name] = (alo + lo, ahi + hi)
+def _hull(a: int, b: int, pick) -> int:
+    """The packed vector of `pick` applied field by field to `a` and `b`."""
+    out = shift = 0
+    while a or b:
+        x = ((a + _HALF) & _FIELD) - _HALF
+        y = ((b + _HALF) & _FIELD) - _HALF
+        out += pick(x, y) << shift
+        a = (a - x) >> _WIDTH
+        b = (b - y) >> _WIDTH
+        shift += _WIDTH
     return out
 
 
-def _neg(a: _Interval) -> _Interval:
-    return {name: (-hi, -lo) for name, (lo, hi) in a.items()}
-
-
-def _hull(a: _Interval, b: _Interval) -> _Interval:
-    out = {}
-    for name in a.keys() | b.keys():
-        alo, ahi = a.get(name, (0, 0))
-        blo, bhi = b.get(name, (0, 0))
-        out[name] = (min(alo, blo), max(ahi, bhi))
-    return out
+@functools.cache
+def _field_tops(n: int) -> int:
+    """_HALF in each of `n` fields: the top bit of every field."""
+    return sum(_HALF << (_WIDTH * k) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +233,42 @@ class _Search:
         self.budget = budget
         self.memo = cache.table(table)
         self.intervals = cache.intervals
+        self.primitive_numbers = cache.primitive_numbers
 
     def canonical(self, goal):
         return goal
 
     def _maybe_balanced(self, goal) -> bool:
-        """The primitive-count condition, in one pair of accumulators that
-        start at the subtracted term's negated interval, if any, and gain
-        each counted term's interval."""
-        intervals = self.intervals
+        """The primitive-count condition, in one pair of packed
+        accumulators that start at the subtracted term's negated interval,
+        if any, and gain each counted term's interval.  `tops` holds _HALF
+        in every field, so a field of `tops - low` has its top bit set
+        exactly when that primitive's low is at most 0, and a field of
+        `tops + high` exactly when its high is at least 0: two mask tests
+        decide every primitive at once."""
+        intervals, numbers = self.intervals, self.primitive_numbers
         counted, subtracted = self._balance_terms(goal)
-        low: dict[str, int] = {}
-        high: dict[str, int] = {}
+        low = high = 0
         if subtracted is not None:
             interval = intervals.get(subtracted, _MISS)
             if interval is _MISS:
-                interval = _interval(subtracted, intervals)
-            for name, (lo, hi) in interval.items():
-                low[name] = -hi
-                high[name] = -lo
+                interval = _interval(subtracted, intervals, numbers)
+            if interval is None:
+                return True
+            low, high = -interval[1], -interval[0]
         for term in counted:
             interval = intervals.get(term, _MISS)
             if interval is _MISS:
-                interval = _interval(term, intervals)
+                interval = _interval(term, intervals, numbers)
             if interval is None:
                 return True
-            for name, (lo, hi) in interval.items():
-                low[name] = low.get(name, 0) + lo
-                high[name] = high.get(name, 0) + hi
-        return all(low[name] <= 0 <= high[name] for name in low)
+            low += interval[0]
+            high += interval[1]
+        # every primitive in the goal is numbered by now; a number shared by
+        # two primitives in a thread race only merges their counts, which
+        # can weaken the pruning but never prunes a derivable goal
+        tops = _field_tops(len(numbers))
+        return (tops - low) & tops == tops and (tops + high) & tops == tops
 
     def derivable(self, goal) -> bool:
         key = self.canonical(goal)

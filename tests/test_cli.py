@@ -237,6 +237,20 @@ def test_budget_zero_is_honoured_and_negative_rejected(capsys, monkeypatch):
     assert code == 2 and "CONJCAT_BUDGET" in err
 
 
+def test_budget_help_names_what_each_subcommand_reads(capsys):
+    """`cvp` reads `--budget` as its cap on preimages, not as a search
+    budget from the environment."""
+    from conjcat.cvp import DEFAULT_CSP_BUDGET
+    code, out, _ = run(capsys, "cvp", "--help")
+    assert code == 0
+    assert f"most preimages to check (default {DEFAULT_CSP_BUDGET};" in " ".join(out.split())
+    assert "search budget" not in out
+    for command in (["prove", "--calculus", "L"], ["member", "--grammar", "g"],
+                    ["enumerate", "--grammar", "g"]):
+        code, out, _ = run(capsys, *command, "--help")
+        assert code == 0 and "search budget (default from $CONJCAT_BUDGET" in out
+
+
 def test_budget_env_var_is_read_only_by_searches(capsys, monkeypatch, tmp_path,
                                                  three_block_ccg_file,
                                                  three_block_cg_file):

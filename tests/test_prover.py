@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import os
@@ -17,9 +18,9 @@ from conjcat.fuzz import (conjunction_goals, derivable_pool, random_category,
                           random_sequent)
 from conjcat.grammars import CALCULI, lambek_grammar
 from conjcat.prover import (ProofTree, SearchCache, _MacllSearch, _TwoSidedSearch,
-                            _add, _interval, _neg,
-                            categories_equivalent, derivable, lambek_enumerate,
-                            lambek_member, macll_derivable, prove, prove_macll)
+                            _WIDTH, _interval, categories_equivalent, derivable,
+                            lambek_enumerate, lambek_member, macll_derivable, prove,
+                            prove_macll)
 from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
                             ZERO, is_multiplicative, macll_image, macll_negate,
@@ -725,24 +726,59 @@ def test_premise_size_walk_meets_every_rule():
                      "(with)", "(1)", "(plus)_1", "(plus)_2", "(times)"}
 
 
+@functools.cache
+def _reference_interval(node):
+    """Occurrences per primitive name as a dict of `(low, high)` pairs,
+    built without the prover's packing: None for a term containing `top`.
+    Callers must not change the dict."""
+    if isinstance(node, Prim):
+        return {node.name: (1, 1)}
+    if isinstance(node, Atom):
+        return {node.name: (-1, -1) if node.negated else (1, 1)}
+    if node is TOP:
+        return None
+    if node in (ONE, BOT, ZERO):
+        return {}
+    left, right = _reference_interval(node.left), _reference_interval(node.right)
+    if left is None or right is None:
+        return None
+    if isinstance(node, LDiv):
+        left, right = right, _reference_negated(left)
+    elif isinstance(node, RDiv):
+        right = _reference_negated(right)
+    names = left.keys() | right.keys()
+    if isinstance(node, (And, Or, With, Plus)):
+        return {name: (min(left.get(name, (0, 0))[0], right.get(name, (0, 0))[0]),
+                       max(left.get(name, (0, 0))[1], right.get(name, (0, 0))[1]))
+                for name in names}
+    return _reference_sum([left, right])
+
+
+def _reference_negated(interval):
+    return {name: (-hi, -lo) for name, (lo, hi) in interval.items()}
+
+
+def _reference_sum(intervals):
+    total = {}
+    for interval in intervals:
+        for name, (lo, hi) in interval.items():
+            tlo, thi = total.get(name, (0, 0))
+            total[name] = (tlo + lo, thi + hi)
+    return total
+
+
 def _reference_balanced(search, goal) -> bool:
-    """The balance check as each search once ran it: one `_add` copy per
-    counted term, the succedent negated through `_neg`, and intervals from
-    a memo of the reference's own."""
-    memo = {}
+    """The balance check per primitive name: the counted terms' intervals
+    summed, less the succedent's, and zero inside every sum."""
     if isinstance(search, _MacllSearch):
-        total = {}
-        for f in goal:
-            interval = _interval(f, memo)
-            if interval is None:
-                return True
-            total = _add(total, interval)
+        terms = [_reference_interval(f) for f in goal]
     else:
         ants, succ = goal
-        total = _neg(_interval(succ, memo))
-        for c in ants:
-            total = _add(total, _interval(c, memo))
-    return all(lo <= 0 <= hi for lo, hi in total.values())
+        terms = [_reference_interval(c) for c in ants]
+        terms.append(_reference_negated(_reference_interval(succ)))
+    if None in terms:
+        return True
+    return all(lo <= 0 <= hi for lo, hi in _reference_sum(terms).values())
 
 
 class _CheckedBalance:
@@ -756,7 +792,7 @@ class _CheckedBalance:
         self.checks += 1
         self.prunes += not got
         self.tops += isinstance(self, _MacllSearch) and any(
-            _interval(f, {}) is None for f in goal)
+            _reference_interval(f) is None for f in goal)
         return got
 
 
@@ -789,6 +825,87 @@ def test_balance_check_agrees_with_reference():
         assert sum(s.checks for s in group) > 9_000
         assert sum(s.prunes for s in group) > 2_000
     assert sum(s.tops for s in one_sided) > 2_000
+
+
+def test_balance_check_agrees_as_a_shared_numbering_grows():
+    """One cache across both searches, whose primitives first appear late:
+    random p, q, r sequents number three, then the lexicon sequents of the
+    bundle grammar bring fifteen more, numbered after the p, q, r goals are
+    memoized."""
+    from conjcat.transforms import add_empty_string, bundle_to_ccg, ccg_to_malc
+    rng = random.Random(107)
+    seqs = [random_sequent(rng, rng.randint(1, 8)) for _ in range(600)]
+    late = list(_lexicon_sequents(add_empty_string(ccg_to_malc(bundle_to_ccg(
+        samples.three_block_bundle()))), 2))
+    cache = SearchCache()
+    counts = []
+    for group in (seqs, late):
+        searches = []
+        for seq in group:
+            searches += [_CheckedTwoSidedSearch(CALCULI["MALC*"], 5_000, cache),
+                         _CheckedMacllSearch(5_000, cache)]
+            goals = ((seq.antecedent, seq.succedent), macll_image(seq).formulas)
+            for search, goal in zip(searches[-2:], goals):
+                try:
+                    search.derivable(goal)
+                except BudgetError:
+                    pass
+        counts.append((sum(s.checks for s in searches), sum(s.prunes for s in searches),
+                       len(cache.primitive_numbers)))
+    assert counts[0][2] == 3 and counts[1][2] == 18
+    assert counts[0][0] > 2_000 and counts[0][1] > 1_000
+    assert counts[1][0] > 10_000 and counts[1][1] > 5_000
+
+
+def _unpacked(interval, numbers):
+    """A packed interval read back into a dict per primitive name, by
+    peeling off one signed field of `_WIDTH` bits per number, lowest first;
+    nothing may be left above the numbered fields."""
+    if interval is None:
+        return None
+    out = {}
+    by_number = sorted(numbers, key=numbers.get)
+    for bound in interval:
+        for name in by_number:
+            field = bound % (1 << _WIDTH)
+            if field >= 1 << (_WIDTH - 1):
+                field -= 1 << _WIDTH
+            out.setdefault(name, []).append(field)
+            bound = (bound - field) >> _WIDTH
+        assert bound == 0
+    return {name: tuple(fields) for name, fields in out.items()}
+
+
+@given(st.lists(st.one_of(_categories(max_leaves=6), _formulas()), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_packed_intervals_unpack_to_the_reference(nodes):
+    """Categories and one-sided formulas with `top`, 0, 1 and `bot`, their
+    primitives numbered in order of first appearance by one cache: each
+    packed interval unpacks to the per-name reference, absent names as
+    (0, 0)."""
+    cache = SearchCache()
+    for node in nodes:
+        got = _unpacked(_interval(node, cache.intervals, cache.primitive_numbers),
+                        cache.primitive_numbers)
+        want = _reference_interval(node)
+        if want is None:
+            assert got is None
+        else:
+            assert want.keys() <= got.keys()
+            assert got == {name: want.get(name, (0, 0)) for name in got}
+
+
+def test_huge_shared_terms_are_not_pruned():
+    """A term built by sharing subterms can count more occurrences of a
+    primitive than a packed field holds: here the low count of `p` in the
+    sequent is -2**(_WIDTH - 1), one past the field's range.  The term gets
+    no interval, so the axiom still proves the sequent instead of an
+    overflowed field pruning it."""
+    c = Or(p, q)
+    for _ in range(_WIDTH - 1):
+        c = Prod(c, c)
+    proved = derivable("MALC*", Sequent((c,), c))
+    assert proved is True  # a bare name: printing the sequent would never end
 
 
 @given(_sequents())
@@ -856,9 +973,13 @@ def test_lambek_enumerate():
 
 def test_shared_cache_thread_safety():
     """Both searches on one cache from many threads, switching often: the
-    memo tables and the one-sided search's formula numbers are shared."""
+    memo tables, the primitive numbers and the one-sided search's formula
+    numbers are shared."""
     g_cache = SearchCache()
     seqs = [random_sequent(random.Random(i), 6) for i in range(40)]
+    # primitives that no thread has numbered yet, met by many at once
+    seqs += [random_sequent(random.Random(i), 6, atoms=("p", f"a{i % 4}", f"b{i}"))
+             for i in range(40, 70)]
     expected = [derivable("MALC*", sq) for sq in seqs]
     results = {}
 

@@ -3,6 +3,7 @@ and all derivations run on: golden digests of the trees and translations
 it must reproduce, and differential checks against the demand-driven
 conjunctive chart and against enumeration."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -182,3 +183,19 @@ def test_every_category_derives_its_language(g):
             assert (d is not None) == (w in words), (category_str(cat), w)
             if d is not None:
                 assert d.root.category == cat and replay_derivation(g, d)
+
+
+def test_tree_reader_leaves_no_reference_cycles():
+    """With the cycle collector off, a warm derivation of either grammar
+    kind frees everything it built by reference counting alone."""
+    g, c = samples.three_block_conj(), samples.three_block_ccg()
+    for derive in (lambda: cg_derivation(g, "bacaca"),
+                   lambda: ccg_derive(c, c.target, "bacaca")):
+        assert derive() is not None
+        gc.collect()
+        gc.disable()
+        try:
+            assert derive() is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
