@@ -12,8 +12,8 @@ import sys
 
 from . import cvp as cvp_mod
 from . import transforms
-from .ccg import CCG, ccg_derive, ccg_enumerate, ccg_member
-from .conj import (cg_derivation, cg_enumerate, cg_member,
+from .ccg import CCG, _ccg_node_json, ccg_derive, ccg_enumerate, ccg_member
+from .conj import (_cg_node_json, cg_derivation, cg_enumerate, cg_member,
                    check_odd_normal_form)
 from .errors import BudgetError, CalculusError, GrammarError, ParseError
 from .fileformat import dumps_grammar, load_bundle, load_grammar
@@ -58,8 +58,12 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _json_line(payload) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
+def _answer(args, holds: bool, payload, text: str) -> int:
+    """Print a query's answer: `payload` as one sorted JSON line with
+    `--output json`, else `text`.  Exit 0 when the query holds, else 1."""
+    _emit(args, json.dumps(payload, sort_keys=True) + "\n"
+          if args.output == "json" else text)
+    return 0 if holds else 1
 
 
 def _cmd_member(args) -> int:
@@ -68,42 +72,36 @@ def _cmd_member(args) -> int:
     if args.derivation and args.output == "text":
         raise ParseError("--derivation needs --output json or latex")
     grammar = load_grammar(args.grammar)
+    if isinstance(grammar, ConjGrammar):
+        derive, test = cg_derivation, cg_member
+        node_json = lambda root: _cg_node_json(root, grammar)
+    elif isinstance(grammar, CCG):
+        derive, test = (lambda g, w: ccg_derive(g, g.target, w)), ccg_member
+        node_json = _ccg_node_json
+    elif args.derivation:
+        raise GrammarError("Lambek membership yields no derivation; "
+                           "--derivation applies to cg and ccg grammars")
+    else:
+        derive, test = None, lambda g, w: lambek_member(g, w, budget=_budget(args))
     # A tree costs a chart of its own, so it is built only when printed.
     # It exists exactly when the string is a member, so it also answers
     # the query.
-    want_tree = args.derivation or args.output == "latex"
-    artifact = None
-    if isinstance(grammar, ConjGrammar):
-        if want_tree:
-            artifact = cg_derivation(grammar, args.string)
-        member = artifact is not None if want_tree else cg_member(grammar, args.string)
-    elif isinstance(grammar, CCG):
-        if want_tree:
-            artifact = ccg_derive(grammar, grammar.target, args.string)
-        member = artifact is not None if want_tree else ccg_member(grammar, args.string)
-    else:
-        if args.derivation:
-            raise GrammarError("Lambek membership yields no derivation; "
-                               "--derivation applies to cg and ccg grammars")
-        member = lambek_member(grammar, args.string, budget=_budget(args))
+    want_tree = derive is not None and (args.derivation or args.output == "latex")
+    tree = derive(grammar, args.string) if want_tree else None
+    member = tree is not None if want_tree else test(grammar, args.string)
+    payload = {"string": args.string, "member": member}
+    text = ("member" if member else "not a member") + "\n"
     try:
-        if args.output == "json":
-            payload = {"string": args.string, "member": member}
-            if artifact is not None:
-                blob = (artifact.to_json(grammar) if isinstance(grammar, ConjGrammar)
-                        else artifact.to_json())
-                payload["derivation"] = json.loads(blob)
-            _emit(args, _json_line(payload))
-        elif args.output == "latex" and artifact is not None:
-            _emit(args, artifact.to_latex() + "\n")
-        else:
-            _emit(args, ("member" if member else "not a member") + "\n")
+        if tree is not None and args.output == "latex":
+            text = tree.to_latex() + "\n"
+        elif tree is not None:
+            payload["derivation"] = node_json(tree.root)
+        return _answer(args, member, payload, text)
     except RecursionError:
-        # the exports recurse once a tree level, and a tree can be about
-        # as deep as the word is long
+        # the dict build, its dump and the LaTeX export recurse once a tree
+        # level, and a tree can be about as deep as the word is long
         raise BudgetError(f"the derivation of a word of length {len(args.string)} "
                           f"is too deep to print") from None
-    return 0 if member else 1
 
 
 def _cmd_prove(args) -> int:
@@ -115,11 +113,8 @@ def _cmd_prove(args) -> int:
     else:
         raise ParseError(f"unknown calculus {args.calculus!r}")
     if tree is None:
-        if args.output == "json":
-            _emit(args, _json_line({"derivable": False, "sequent": args.sequent}))
-        else:
-            _emit(args, "not derivable\n")
-        return 1
+        return _answer(args, False, {"derivable": False, "sequent": args.sequent},
+                       "not derivable\n")
     if args.output == "json":
         _emit(args, tree.to_json())
     elif args.output == "latex":
@@ -164,11 +159,8 @@ def _cmd_enumerate(args) -> int:
     else:
         words = lambek_enumerate(grammar, args.max_len, budget=_budget(args))
     ordered = sorted(words, key=lambda w: (len(w), w))
-    if args.output == "json":
-        _emit(args, _json_line({"max_len": args.max_len, "words": ordered}))
-    else:
-        _emit(args, "".join(("eps" if w == "" else w) + "\n" for w in ordered))
-    return 0
+    return _answer(args, True, {"max_len": args.max_len, "words": ordered},
+                   "".join(("eps" if w == "" else w) + "\n" for w in ordered))
 
 
 def _cmd_check_odd_form(args) -> int:
@@ -176,33 +168,22 @@ def _cmd_check_odd_form(args) -> int:
     if not isinstance(grammar, ConjGrammar):
         raise GrammarError("the rule-shape check applies to cg grammars")
     report = check_odd_normal_form(grammar)
-    if args.output == "json":
-        _emit(args, _json_line({"passed": report.passed,
-                                "violations": list(report.violations)}))
-    else:
-        _emit(args, str(report) + "\n")
-    return 0 if report.passed else 1
+    return _answer(args, report.passed, {"passed": report.passed,
+                                         "violations": list(report.violations)},
+                   str(report) + "\n")
 
 
 def _cmd_cvp(args) -> int:
     if args.action == "eval":
         circuit = cvp_mod.parse_circuit(args.circuit)
         value = cvp_mod.eval_circuit(circuit)
-        if args.output == "json":
-            _emit(args, _json_line({"circuit": cvp_mod.circuit_str(circuit),
-                                    "value": value}))
-        else:
-            _emit(args, f"{value}\n")
-        return 0 if value == 1 else 1
+        return _answer(args, value == 1, {"circuit": cvp_mod.circuit_str(circuit),
+                                          "value": value}, f"{value}\n")
     if args.action == "encode":
         circuit = cvp_mod.parse_circuit(args.circuit)
         encoded = cvp_mod.encode_circuit(circuit)
-        if args.output == "json":
-            _emit(args, _json_line({"circuit": cvp_mod.circuit_str(circuit),
-                                    "encoding": encoded}))
-        else:
-            _emit(args, encoded + "\n")
-        return 0
+        return _answer(args, True, {"circuit": cvp_mod.circuit_str(circuit),
+                                    "encoding": encoded}, encoded + "\n")
     if args.action == "member":
         pattern = args.circuit
         if "?" in pattern:
@@ -211,11 +192,8 @@ def _cmd_cvp(args) -> int:
             member = cvp_mod.csp_member(pattern, max_check=max_check)
         else:
             member = cg_member(cvp_mod.cvp_grammar(), pattern)
-        if args.output == "json":
-            _emit(args, _json_line({"pattern": pattern, "member": member}))
-        else:
-            _emit(args, ("member" if member else "not a member") + "\n")
-        return 0 if member else 1
+        return _answer(args, member, {"pattern": pattern, "member": member},
+                       ("member" if member else "not a member") + "\n")
     return _cmd_cvp_fuzz(args)
 
 
@@ -243,14 +221,9 @@ def _cmd_cvp_fuzz(args) -> int:
             failures.append({"circuit": cvp_mod.circuit_str(circuit),
                              "encoding": encoding,
                              "expected": expected, "got": got})
-    payload = {"checked": len(circuits), "failures": failures,
-               "seed": args.seed}
-    if args.output == "json":
-        _emit(args, _json_line(payload))
-    else:
-        _emit(args, f"checked {len(circuits)} circuits, "
-                    f"{len(failures)} disagreements\n")
-    return 0 if not failures else 1
+    return _answer(args, not failures,
+                   {"checked": len(circuits), "failures": failures, "seed": args.seed},
+                   f"checked {len(circuits)} circuits, {len(failures)} disagreements\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,10 +36,6 @@ def random_sequent(rng: random.Random, connectives: int,
     return Sequent(tuple(parts[:-1]), parts[-1])
 
 
-def _connective_count(s: Sequent) -> int:
-    return sum(c.size for c in s.antecedent) + s.succedent.size
-
-
 def derivable_pool(rng: random.Random, calculus: Calculus | str,
                    atoms: tuple[str, ...] = ("p", "q", "r"),
                    steps: int = 400, max_size: int = 8,
@@ -57,7 +53,7 @@ def derivable_pool(rng: random.Random, calculus: Calculus | str,
     def admit(seq: Optional[Sequent]):
         if seq is None or seq in seen:
             return
-        if _connective_count(seq) > max_size or len(seq.antecedent) > max_antecedent:
+        if seq.size > max_size or len(seq.antecedent) > max_antecedent:
             return
         if not calculus.additives and not all(
                 is_multiplicative(c) for c in seq.antecedent + (seq.succedent,)):
@@ -130,7 +126,7 @@ def conjunction_goals(rng: random.Random, count: int,
         ants, succs = groups[rng.randrange(len(groups))]
         a, b = rng.choice(succs), rng.choice(succs)
         seq = Sequent(ants, And(a, b))
-        if _connective_count(seq) <= max_size:
+        if seq.size <= max_size:
             out.append(seq)
     return out
 

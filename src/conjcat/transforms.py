@@ -7,7 +7,7 @@ from typing import Callable, Mapping
 
 from .ccg import ccg_translation
 from .conj import cg_enumerate, check_odd_normal_form
-from .errors import BudgetError, GrammarError
+from .errors import BudgetError, GrammarError, UndeclaredSymbolError
 from .grammars import CCG, ConjGrammar, LambekGrammar
 from .syntax import (And, Category, LDiv, Or, Prim, RDiv, category_str,
                      conjunct_members, fresh_name, fresh_names, is_and_free,
@@ -346,12 +346,16 @@ class Homomorphism:
 def image_member(member_oracle: Callable[[str], bool], h: Homomorphism, w: str,
                  max_check: int = 4096) -> bool:
     """Is `w` the image of some member?  Brute force over the preimage
-    product, refusing when it exceeds `max_check`."""
+    product, refusing when it exceeds `max_check`.  A letter of `w`
+    outside the image alphabet is an `UndeclaredSymbolError`."""
+    image = set(h.mapping.values())
+    for ch in w:
+        if ch not in image:
+            raise UndeclaredSymbolError(
+                f"symbol {ch!r} is not in the homomorphism's image alphabet")
     options = [h.preimages(ch) for ch in w]
     total = 1
     for opt in options:
-        if not opt:
-            return False
         total *= len(opt)
         if total > max_check:
             raise BudgetError(

@@ -42,6 +42,8 @@ def test_report_lines_for_a_gain():
     assert rate.split()[-1] == "yes"
     rss = next(line for line in lines if line.strip().startswith("peak_rss_mb"))
     assert "1.033" in rss and "0/4" in rss
+    # the median number of operations each side attempted sits under the memory
+    assert lines[lines.index(rss) + 1].split() == ["attempted", "100", "100", "1.000"]
     assert "  base: 0 of 400 operations failed (0.0000%), all correct: True" in lines
     assert "  change: 0 of 400 operations failed (0.0000%), all correct: True" in lines
 
@@ -55,6 +57,17 @@ def test_report_rejects_a_median_beyond_its_bound(change, metric):
     _, rejects = ab_bench.report("proof_search", runs, METRICS)
     assert len(rejects) == 1
     assert rejects[0].startswith(f"REJECT proof_search {metric}: change median")
+
+
+def test_report_prints_the_median_attempted_operations_under_peak_rss():
+    """More operations cost the run's tally memory, so the operation counts
+    are printed where the memory is read; they never reject."""
+    runs = _runs([(100, 30, 1000), (100, 30, 1200), (100, 30, 1100)],
+                 [(100, 32, 4500), (100, 32, 5000), (100, 32, 5500)])
+    lines, rejects = ab_bench.report("membership_sweep", runs, METRICS)
+    assert rejects == []
+    rss = next(i for i, line in enumerate(lines) if line.strip().startswith("peak_rss_mb"))
+    assert lines[rss + 1].split() == ["attempted", "1100", "5000", "4.545"]
 
 
 def test_report_accepts_a_loss_within_its_bound():

@@ -1,14 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
 import conjcat.samples as samples
-from conjcat.ccg import ccg_derive, ccg_enumerate
+from conjcat.ccg import CCGDerivation, ccg_derive, ccg_enumerate
 from conjcat.cli import main
-from conjcat.conj import cg_derivation, cg_enumerate
+from conjcat.conj import CGDerivation, cg_derivation, cg_enumerate
 from conjcat.fileformat import dumps_bundle, dumps_grammar, loads_grammar
 from conjcat.prover import lambek_enumerate
-from conjcat.transforms import ccg_to_malc
+from conjcat.transforms import ccg_to_cg, ccg_to_malc
 
 
 @pytest.fixture()
@@ -344,3 +345,96 @@ def test_member_chart_recursion_exits_3(capsys, tmp_path):
     assert "Traceback" not in err
     code, out, _ = run(capsys, "member", "--grammar", str(path), "a" * 3000 + "b")
     assert code == 0 and out == "member\n"
+
+
+def _golden_cases(tmp_path):
+    """Every subcommand that answers a query, in every `--output` it takes."""
+    grammars = {
+        "cg": (samples.three_block_conj(), ["bacaca", "baacaacaa"], ["abc", "bacac"]),
+        "bcg": (samples.two_block_bcg(), ["bc", "baca"], ["bac", "cb"]),
+        "ccg": (samples.three_block_ccg(), ["bacaca"], ["abc"]),
+        "ccg_to_cg": (ccg_to_cg(samples.three_block_ccg()), ["bacaca"], ["abc"]),
+        "lambek": (ccg_to_malc(samples.two_block_bcg()), ["bc", "baca"], ["bac"]),
+    }
+    member_outputs = (["--output", "text"], ["--output", "json"],
+                      ["--output", "json", "--derivation"], ["--output", "latex"])
+    for name, (grammar, members, non_members) in grammars.items():
+        path = tmp_path / name
+        path.write_text(dumps_grammar(grammar))
+        for word in members + non_members + ["", "bz"]:
+            for flags in member_outputs:
+                yield ["member", "--grammar", str(path), word, *flags]
+        for output in ("text", "json"):
+            yield ["enumerate", "--grammar", str(path), "--max-len", "6",
+                   "--output", output]
+    quotient = tmp_path / "quotient"
+    quotient.write_text(dumps_grammar(samples.three_block_quotient()))
+    for output in ("text", "json"):
+        for path in (quotient, tmp_path / "cg"):
+            yield ["check-odd-form", "--grammar", str(path), "--output", output]
+        for circuit in ("in:0 nor:1 nor:1", "in:0 nor:1", "in:1 in:0 nor:2"):
+            yield ["cvp", "eval", circuit, "--output", output]
+            yield ["cvp", "encode", circuit, "--output", output]
+        for pattern in ("b?", "b1", "abb0", "ab?b?", "b", "", "??"):
+            yield ["cvp", "member", pattern, "--output", output]
+        yield ["cvp", "fuzz", "--max-gates", "3", "--max-inputs", "2", "--output", output]
+        yield ["cvp", "fuzz", "--max-gates", "2", "--max-inputs", "1", "--seed", "9",
+               "--samples", "5", "--output", output]
+    for output in ("text", "json", "latex"):
+        for calculus, sequent in (("MALC*", r"-> ((r\r)\((t\t)\q))\q"),
+                                  ("MALC*", r"t\t, r\r, t\t, r\r, (r\r)\((t\t)\q) -> q"),
+                                  ("L", "p, p\\q -> q"), ("L", "p & q -> p"),
+                                  ("MACLL", "|- bot, ~p, p"), ("MACLL", "|- p, p")):
+            yield ["prove", "--calculus", calculus, sequent, "--output", output]
+        yield ["prove", "--calculus", "MALC*", "p/p, p/p, p/p -> p/p",
+               "--budget", "2", "--output", output]
+
+
+# SHA-256 over (exit code, stdout, stderr) of every case above: any change
+# to what the CLI prints or to an exit code changes it.
+_GOLDEN_CLI_DIGEST = "cd99b0e3e497a37de538025d19838b4a0739d7b80cc6b623aa62c1ce90727cbb"
+
+
+def test_cli_answers_are_golden(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for argv in _golden_cases(tmp_path):
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([code, out, err]).encode())
+    assert digest.hexdigest() == _GOLDEN_CLI_DIGEST
+
+
+def test_member_derivation_json_embeds_the_tree(capsys, tmp_path, monkeypatch):
+    """`--derivation` puts the tree's dict straight into the payload: no
+    indented `to_json` dump is made and read back, and the line is the
+    one that round trip printed."""
+    ccg_path = tmp_path / "right.ccg"
+    ccg_path.write_text("kind: ccg\ntarget: s\n'a' : s/s ;\n'b' : s ;\n")
+    cg_path = tmp_path / "right.cg"
+    cg_path.write_text("kind: cg\nterminals: a b\nstart: S\n"
+                       "S -> 'a' S ;\nS -> X ;\nX -> 'b' ;\n")
+    word = "a" * 300 + "b"
+    ccg_grammar = loads_grammar(ccg_path.read_text())
+    cg_grammar = loads_grammar(cg_path.read_text())
+    blobs = {ccg_path: ccg_derive(ccg_grammar, ccg_grammar.target, word).to_json(),
+             cg_path: cg_derivation(cg_grammar, word).to_json(cg_grammar)}
+
+    def no_dump(*_):
+        raise AssertionError("to_json called")
+
+    monkeypatch.setattr(CCGDerivation, "to_json", no_dump)
+    monkeypatch.setattr(CGDerivation, "to_json", no_dump)
+    for path, blob in blobs.items():
+        old = json.dumps({"string": word, "member": True,
+                          "derivation": json.loads(blob)}, sort_keys=True) + "\n"
+        code, out, _ = run(capsys, "member", "--grammar", str(path), word,
+                           "--output", "json", "--derivation")
+        assert code == 0 and out == old
+
+
+@pytest.mark.parametrize("pattern", ["bx?", "1?", "bx", "b?z"])
+def test_cvp_member_letter_outside_the_pattern_alphabet_is_an_input_error(capsys,
+                                                                          pattern):
+    for output in ("text", "json"):
+        code, out, err = run(capsys, "cvp", "member", pattern, "--output", output)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "is not in the" in err

@@ -6,7 +6,7 @@ import pytest
 import conjcat.samples as samples
 from conjcat.ccg import ccg_enumerate, ccg_member
 from conjcat.conj import cg_enumerate, check_odd_normal_form
-from conjcat.errors import BudgetError, GrammarError
+from conjcat.errors import BudgetError, GrammarError, UndeclaredSymbolError
 from conjcat.fuzz import derivable_pool
 from conjcat.grammars import CCG, ccg, conj_grammar, lambek_grammar
 from conjcat.prover import SearchCache, derivable, lambek_enumerate, lambek_member
@@ -245,6 +245,11 @@ def test_image_member():
     assert image_member(lambda u: u == "ab", identity, "ab")
     with pytest.raises(BudgetError):
         image_member(oracle, h, "?" * 13, max_check=4096)
+    # a letter outside the image alphabet is an undeclared symbol, not a
+    # negative answer, and it is reported before the budget is checked
+    for pattern in ("bx?", "1?", "0", "?" * 13 + "x"):
+        with pytest.raises(UndeclaredSymbolError, match="image alphabet"):
+            image_member(oracle, h, pattern, max_check=4096)
 
 
 # --- pipeline regressions -----------------------------------------------------

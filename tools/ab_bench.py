@@ -9,7 +9,10 @@ run BASE first and odd pairs CHANGE first, so that drift of the machine
 falls on both sides alike.  For each workload and each end-to-end metric
 it prints each side's median and quartiles, the ratio of the medians
 (CHANGE over BASE), the number of pairs CHANGE wins, and whether the
-medians differ by more than BASE's interquartile range.  The direction
+medians differ by more than BASE's interquartile range.  Under
+`peak_rss_mb` it prints each side's median number of attempted
+operations, since the run keeps 8 bytes of timing a timed operation and
+a faster side completes more of them in the same time.  The direction
 and bound of each metric are read from BASE's `BENCHMARK.json`.  It
 changes nothing in either checkout.  It exits 1 when any run fails or
 reports an incorrect answer, and it prints a `REJECT` line and exits 1
@@ -67,6 +70,11 @@ def report(workload: str, runs: dict, metrics: dict) -> tuple[list, list]:
         change_text = f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
         lines.append(f"  {metric:<14} {base_text:<32} {change_text:<32} {ratio:>6.3f}"
                      f" {wins:>3}/{len(base):<2} {'yes' if beyond else 'no':>6}")
+        if metric == "peak_rss_mb":
+            base_ops, change_ops = (statistics.median(r["attempted"] for r in runs[side])
+                                    for side in ("base", "change"))
+            lines.append(f"  {'  attempted':<14} {base_ops:<32.5g} {change_ops:<32.5g}"
+                         f" {change_ops / base_ops if base_ops else float('nan'):>6.3f}")
         if sign * (c2 - b2) < -spec["bound"] * abs(b2):
             rejects.append(f"REJECT {workload} {metric}: change median {c2:.5g} is worse"
                            f" than base median {b2:.5g} by more than {spec['bound']:.0%}")
