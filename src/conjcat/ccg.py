@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj import _Recognizer, cg_languages, check_letters
+from .conj import _Recognizer, _infer_latex, cg_languages, check_letters
 from .errors import GrammarError
 from .grammars import CCG, ConjGrammar, Rule, chart_index
 from .syntax import (And, Category, LDiv, Prim, RDiv, category_latex,
@@ -62,6 +62,9 @@ class CCGDerivation:
     root: CCGNode
 
     def to_json(self) -> str:
+        """The tree as indented JSON.  Each level is indented again inside
+        its parent, so the text grows with the square of the tree's depth,
+        and building the nested dicts recurses once a level."""
         return json.dumps(_ccg_node_json(self.root), sort_keys=True, indent=2) + "\n"
 
     def to_latex(self) -> str:
@@ -75,12 +78,12 @@ def _ccg_node_json(node: CCGNode):
             "children": [_ccg_node_json(c) for c in node.children] or None}
 
 
-def _ccg_node_latex(node: CCGNode, w: str) -> str:
-    prop = f"{category_latex(node.category)}({w[node.span[0]:node.span[1]]})"
-    if node.rule == "axiom":
-        return prop
-    premises = " & ".join(_ccg_node_latex(c, w) for c in node.children)
-    return rf"\infer{{{prop}}}{{{premises}}}"
+def _ccg_node_latex(root: CCGNode, w: str) -> str:
+    def expand(node):
+        prop = f"{category_latex(node.category)}({w[node.span[0]:node.span[1]]})"
+        return prop if node.rule == "axiom" else (prop, node.children)
+
+    return _infer_latex(root, expand)
 
 
 def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str]]:

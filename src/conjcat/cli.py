@@ -98,8 +98,8 @@ def _cmd_member(args) -> int:
             payload["derivation"] = node_json(tree.root)
         return _answer(args, member, payload, text)
     except RecursionError:
-        # the dict build, its dump and the LaTeX export recurse once a tree
-        # level, and a tree can be about as deep as the word is long
+        # the dict build and its dump recurse once a tree level, and a tree
+        # can be about as deep as the word is long
         raise BudgetError(f"the derivation of a word of length {len(args.string)} "
                           f"is too deep to print") from None
 

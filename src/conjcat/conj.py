@@ -57,6 +57,9 @@ class CGDerivation:
     root: CGNode
 
     def to_json(self, grammar: ConjGrammar) -> str:
+        """The tree as indented JSON.  Each level is indented again inside
+        its parent, so the text grows with the square of the tree's depth,
+        and building the nested dicts recurses once a level."""
         return json.dumps(_cg_node_json(self.root, grammar), sort_keys=True, indent=2) + "\n"
 
     def to_latex(self) -> str:
@@ -81,15 +84,43 @@ def _proposition(symbol: str, w: str, span: tuple[int, int]) -> str:
     return f"{head}({text if text else chr(92) + 'varepsilon'})"
 
 
-def _cg_node_latex(node: CGNode, w: str) -> str:
-    if node.rule_index is None:
-        return _proposition(node.symbol, w, node.span)
-    groups = []
-    for group in node.children:
-        body = "".join(c.symbol if c.symbol else "" for c in group)
-        premises = " & ".join(_cg_node_latex(c, w) for c in group)
-        groups.append(rf"\infer{{{_proposition(body, w, node.span)}}}{{{premises}}}")
-    return rf"\infer{{{_proposition(node.symbol, w, node.span)}}}{{{' & '.join(groups)}}}"
+def _infer_latex(root, expand) -> str:
+    """A derivation as nested `\\infer{conclusion}{premise & ...}`, written
+    with an explicit stack, since a tree can be about as deep as its word
+    is long.  `expand(node)` gives a leaf's text, or an inference's
+    conclusion text and its premise nodes."""
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        step = item if isinstance(item, str) else expand(item)
+        if isinstance(step, str):
+            out.append(step)
+            continue
+        conclusion, premises = step
+        out.append(rf"\infer{{{conclusion}}}{{")
+        stack.append("}")
+        for i in range(len(premises) - 1, -1, -1):
+            stack.append(premises[i])
+            if i:
+                stack.append(" & ")
+    return "".join(out)
+
+
+def _cg_node_latex(root: CGNode, w: str) -> str:
+    """A rule's node infers its head from one inference per conjunct, each
+    inferring the conjunct's body from that conjunct's children."""
+
+    def expand(item):
+        if isinstance(item, tuple):  # a conjunct: (its body, its span, its children)
+            body, span, group = item
+            return _proposition(body, w, span), group
+        if item.rule_index is None:
+            return _proposition(item.symbol, w, item.span)
+        return _proposition(item.symbol, w, item.span), [
+            ("".join(c.symbol for c in group), item.span, group) for group in item.children]
+
+    return _infer_latex(root, expand)
 
 
 # ---------------------------------------------------------------------------

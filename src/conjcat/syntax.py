@@ -11,7 +11,14 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+def _is_name(name) -> bool:
+    """`name` matches `[A-Za-z_][A-Za-z0-9_]*`: on ASCII text,
+    `isidentifier` accepts exactly those strings.  A non-`str` raises
+    `TypeError`."""
+    if not isinstance(name, str):
+        raise TypeError(f"a name is a str, not {type(name).__name__}")
+    return name.isascii() and name.isidentifier()
 
 
 # ---------------------------------------------------------------------------
@@ -32,14 +39,16 @@ class _Node:
 
 
 class _Binary(_Node):
-    """The body of every binary connective, category or formula."""
+    """The body of every binary connective, category or formula.  Its
+    operands must belong to the class `_operand`: `Category` or `Formula`,
+    each set on the class itself after its definition."""
 
     __slots__ = ("left", "right")
 
     __hash__ = _Node.__hash__
 
     def __init__(self, left, right):
-        kind = Category if isinstance(self, Category) else Formula
+        kind = self._operand
         if not isinstance(left, kind) or not isinstance(right, kind):
             raise TypeError(f"{type(self).__name__} operands must be {kind.__name__} nodes")
         self.left = left
@@ -70,13 +79,16 @@ class Category(_Node):
         return category_str(self)
 
 
+Category._operand = Category
+
+
 class Prim(Category):
     """Primitive category, identified by name."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        if not _IDENT_RE.fullmatch(name):
+        if not _is_name(name):
             raise ValueError(f"bad primitive category name: {name!r}")
         self.name = name
         self.size = 0
@@ -227,6 +239,9 @@ class Formula(_Node):
         return formula_str(self)
 
 
+Formula._operand = Formula
+
+
 _MACLL_RESERVED = {"top", "bot"}
 
 
@@ -238,7 +253,7 @@ class Atom(Formula):
     __hash__ = Formula.__hash__
 
     def __init__(self, name: str, negated: bool = False):
-        if not _IDENT_RE.fullmatch(name) or name in _MACLL_RESERVED:
+        if not _is_name(name) or name in _MACLL_RESERVED:
             raise ValueError(f"bad atom name: {name!r}")
         self.name = name
         self.negated = bool(negated)
@@ -339,19 +354,42 @@ def macll_dual(f: Formula, g: Formula) -> bool:
 
 def hat_translate(c: Category) -> Formula:
     """Map a category to its one-sided linear-logic image."""
-    if isinstance(c, Prim):
-        return Atom(c.name)
-    if isinstance(c, Prod):
-        return Times(hat_translate(c.left), hat_translate(c.right))
-    if isinstance(c, LDiv):
-        return Par(macll_negate(hat_translate(c.den)), hat_translate(c.num))
-    if isinstance(c, RDiv):
-        return Par(hat_translate(c.num), macll_negate(hat_translate(c.den)))
-    if isinstance(c, And):
-        return With(hat_translate(c.left), hat_translate(c.right))
-    if isinstance(c, Or):
-        return Plus(hat_translate(c.left), hat_translate(c.right))
-    raise TypeError(f"not a category: {c!r}")
+    return _hat(c, False, ({}, {}))
+
+
+def _hat(c: Category, negated: bool, atoms: tuple[dict, dict]) -> Formula:
+    """`hat_translate`, or with `negated` `macll_negate` of that image,
+    built directly; `atoms[negated]` holds the one `Atom` of each name in
+    that polarity."""
+    kind = type(c)
+    if kind is Prim:
+        table = atoms[negated]
+        atom = table.get(c.name)
+        if atom is None:
+            atom = table[c.name] = Atom(c.name, negated)
+        return atom
+    if kind is Prod:
+        # (A.B)^ = A^ * B^, whose negation is ~B^ @ ~A^
+        if negated:
+            return Par(_hat(c.right, True, atoms), _hat(c.left, True, atoms))
+        return Times(_hat(c.left, False, atoms), _hat(c.right, False, atoms))
+    if kind is LDiv:
+        # (C\A)^ = ~C^ @ A^, whose negation is ~A^ * C^; `left` is C
+        if negated:
+            return Times(_hat(c.right, True, atoms), _hat(c.left, False, atoms))
+        return Par(_hat(c.left, True, atoms), _hat(c.right, False, atoms))
+    if kind is RDiv:
+        # (A/C)^ = A^ @ ~C^, whose negation is C^ * ~A^; `left` is A
+        if negated:
+            return Times(_hat(c.right, False, atoms), _hat(c.left, True, atoms))
+        return Par(_hat(c.left, False, atoms), _hat(c.right, True, atoms))
+    if kind is And:
+        node = Plus if negated else With
+    elif kind is Or:
+        node = With if negated else Plus
+    else:
+        raise TypeError(f"not a category: {c!r}")
+    return node(_hat(c.left, negated, atoms), _hat(c.right, negated, atoms))
 
 
 def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
@@ -396,9 +434,9 @@ _FORMULA_TABLE = (
     (("*", Times, r" \otimes "),),
 )
 
-_CAT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(->|\|-|[()\\/.&+,])|(\S))")
-_FORMULA_TOKEN_RE = re.compile(
-    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([01])|(\|-|->|[()&+*@~,])|(\S))")
+# One group: a token after optional whitespace.  Every token is ASCII.
+_CAT_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|\|-|[()\\/.&+,])")
+_FORMULA_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[01]|\|-|->|[()&+*@~,])")
 
 
 class _Syntax:
@@ -417,36 +455,56 @@ class _Syntax:
 
 
 class _Parser:
-    """Recursive descent over the tokens of `text` in one syntax.  `tokens`
-    holds each token with its position and ends in `(None, len(text))`;
-    `tok` is the current one.  Each alternative of the syntax's `token_re`
-    is one capturing group after optional leading whitespace, and the last
-    catches any other character."""
+    """Recursive descent over the tokens of `text` in one syntax.
+
+    The tokens come as strings from one `findall` of the syntax's
+    `token_re` and end in `None`; `tok` is the current one.  `findall`
+    skips any character no token matches, so a text whose tokens do not
+    spell all its non-whitespace characters is refused before parsing, at
+    the first such character.  Token positions are worked out from the text
+    only when a `ParseError` needs one.  `leaves` holds the one `Prim` of
+    each name the parse has met."""
 
     def __init__(self, text: str, syntax: _Syntax):
+        self.text = text
+        self.token_re = syntax.token_re
         self.parse_leaf = syntax.parse_leaf
         self.levels = syntax.levels
         self.depth = len(syntax.levels)
-        self.tokens = []
+        tokens = self.token_re.findall(text)
+        if "".join(tokens) != "".join(text.split()):
+            raise self.unexpected_character()
+        tokens.append(None)
+        self.tokens = tokens
         self.index = 0
-        token_re = syntax.token_re
-        for m in token_re.finditer(text):
-            k = m.lastindex
-            if k == token_re.groups:
-                raise ParseError(f"unexpected character {m.group(k)!r}", m.start(k))
-            self.tokens.append((m.group(k), m.start(k)))
-        self.tokens.append((None, len(text)))
-        self.tok: Optional[str] = self.tokens[0][0]
+        self.tok: Optional[str] = tokens[0]
+        self.leaves = {}
 
-    def pos(self) -> int:
-        return self.tokens[self.index][1]
+    def unexpected_character(self) -> ParseError:
+        """The error for the first character no token matches: the first
+        after the whitespace that ends the run of adjacent matches."""
+        end = 0
+        for m in self.token_re.finditer(self.text):
+            if m.start() != end:
+                break
+            end = m.end()
+        rest = self.text[end:]
+        at = end + len(rest) - len(rest.lstrip())
+        return ParseError(f"unexpected character {self.text[at]!r}", at)
+
+    def pos(self, index: Optional[int] = None) -> int:
+        """The position of the token `index`, by default the current one;
+        the end of input is at `len(text)`."""
+        starts = [m.start(1) for m in self.token_re.finditer(self.text)]
+        starts.append(len(self.text))
+        return starts[self.index if index is None else index]
 
     def next(self) -> str:
         tok = self.tok
         if tok is None:
             raise ParseError("unexpected end of input", self.pos())
         self.index += 1
-        self.tok = self.tokens[self.index][0]
+        self.tok = self.tokens[self.index]
         return tok
 
     def expect(self, tok: str):
@@ -533,10 +591,13 @@ def _latex(node, ops, leaf) -> str:
 
 def _category_leaf(ts: _Parser) -> Prim:
     tok = ts.tok
-    if tok is not None and _IDENT_RE.fullmatch(tok):
-        ts.next()
-        return Prim(tok)
-    raise ParseError(f"expected a category, found {tok!r}", ts.pos())
+    leaf = ts.leaves.get(tok)
+    if leaf is None:
+        if tok is None or not tok.isidentifier():
+            raise ParseError(f"expected a category, found {tok!r}", ts.pos())
+        leaf = ts.leaves[tok] = Prim(tok)
+    ts.next()
+    return leaf
 
 
 def _category_leaf_text(c: Category) -> str:
@@ -556,15 +617,15 @@ def _formula_leaf(ts: _Parser) -> Formula:
     tok = ts.tok
     if tok == "~":
         ts.next()
-        at = ts.pos()
         name = ts.next()
-        if not _IDENT_RE.fullmatch(name) or name in _MACLL_RESERVED:
-            raise ParseError(f"expected an atom after '~', found {name!r}", at)
+        if not name.isidentifier() or name in _MACLL_RESERVED:
+            raise ParseError(f"expected an atom after '~', found {name!r}",
+                             ts.pos(ts.index - 1))
         return Atom(name, negated=True)
     if tok in _CONSTANTS:
         ts.next()
         return _CONSTANTS[tok]
-    if tok is not None and _IDENT_RE.fullmatch(tok):
+    if tok is not None and tok.isidentifier():
         ts.next()
         return Atom(tok)
     raise ParseError(f"expected a formula, found {tok!r}", ts.pos())
@@ -702,9 +763,10 @@ def parse_macll_sequent(text: str) -> MacllSequent:
 
 def macll_image(s: Sequent) -> MacllSequent:
     """One-sided image of a two-sided sequent: reversed negated antecedent,
-    then the succedent."""
-    formulas = [macll_negate(hat_translate(c)) for c in reversed(s.antecedent)]
-    formulas.append(hat_translate(s.succedent))
+    then the succedent.  The image has one `Atom` per name and polarity."""
+    atoms = ({}, {})
+    formulas = [_hat(c, True, atoms) for c in reversed(s.antecedent)]
+    formulas.append(_hat(s.succedent, False, atoms))
     return MacllSequent(tuple(formulas))
 
 # ---------------------------------------------------------------------------

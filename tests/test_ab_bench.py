@@ -1,8 +1,9 @@
 """`tools/ab_bench.py` on synthetic runs: quartiles, the report lines, and
 the REJECT lines for a worse median beyond its bound or a larger share of
-failed operations."""
+failed operations; and traced pairs on stand-in checkouts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,89 @@ def test_report_rejects_a_larger_share_of_failures():
     # the same share of failures on more operations passes
     runs = _runs(base, [(100, 30, 200, 2)] * 2)
     assert ab_bench.report("cli_oneshot", runs, METRICS)[1] == []
+
+
+def test_report_has_no_bound_for_per_layer_metrics_and_skips_zeros():
+    metrics = {"syntax.parse_s": {"name": "syntax.parse_s", "better": "lower"},
+               "ccg.member_s": {"name": "ccg.member_s", "better": "lower"},
+               "self syntax.image": {"name": "self syntax.image", "better": "lower"}}
+
+    def run(parse, image):
+        return {"metrics": {"syntax.parse_s": {"value": parse}, "ccg.member_s": {"value": 0.0},
+                            "self syntax.image": {"value": image}},
+                "attempted": 10, "failed": 0, "correct": True}
+
+    runs = {"base": [run(0.1, 20.0)] * 3, "change": [run(0.5, 10.0)] * 3}
+    lines, rejects = ab_bench.report("proof_search", runs, metrics)
+    assert rejects == []  # five times slower, but a per-layer metric has no bound
+    assert not any("ccg.member_s" in line for line in lines)
+    parse = next(line for line in lines if line.strip().startswith("syntax.parse_s"))
+    assert "5.000" in parse and "0/3" in parse
+    image = next(line for line in lines if line.strip().startswith("self syntax.image"))
+    assert "0.500" in image and "3/3" in image
+
+
+def test_report_keeps_an_end_to_end_metric_that_reads_zero():
+    runs = _runs([(0.0, 30)] * 3, [(0.0, 30)] * 3)
+    lines = ab_bench.report("cli_oneshot", runs, METRICS)[0]
+    assert any(line.strip().startswith("group1_per_s") for line in lines)
+
+
+def test_a_span_missing_from_some_runs_gets_a_note():
+    def run(*spans):
+        return {"metrics": {f"self {n}": {"value": 1.0} for n in spans}}
+
+    runs = {"base": [run("a", "b")] * 2, "change": [run("a", "b"), run("a", "c")]}
+    spans, notes = ab_bench.self_metrics(runs)
+    assert list(spans) == ["self a"]
+    assert notes == ["  self b: in 2 of 2 base runs and 1 of 2 change runs, left out",
+                     "  self c: in 0 of 2 base runs and 1 of 2 change runs, left out"]
+
+
+_STAND_IN_RUN = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+trace = args["--trace"] == "1"
+parse = {parse}
+print("workload proof_search: a stand-in run")
+if trace:
+    print("  self syntax.parse: 30 spans, 0.0030 s, %.1f us a span" % (parse * 1e6))
+    print("  self syntax.image: 30 spans, 0.0015 s, 50.0 us a span")
+    metrics = {{"syntax.parse_s": {{"value": parse, "unit": "s"}},
+               "ccg.member_s": {{"value": 0.0, "unit": "s"}}}}
+else:
+    metrics = {{"setup_s": {{"value": parse * 1000, "unit": "s"}}}}
+print(json.dumps({{"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def _stand_in(root: Path, parse: float) -> Path:
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(_STAND_IN_RUN.format(parse=parse))
+    spec = {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "syntax.parse_s", "better": "lower"},
+                          {"name": "ccg.member_s", "better": "lower"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+def test_traced_pairs_compare_per_layer_metrics_and_self_times(tmp_path, capsys):
+    base = _stand_in(tmp_path / "base", 0.0001)
+    change = _stand_in(tmp_path / "change", 0.0002)
+    argv = [str(base), str(change), "--workload", "proof_search", "--pairs", "2",
+            "--seconds", "1"]
+    assert ab_bench.main(argv + ["--trace", "1", "--out", str(tmp_path / "ab.json")]) == 0
+    out = capsys.readouterr().out
+    assert "REJECT" not in out and "ccg.member_s" not in out
+    lines = out.splitlines()
+    parse = next(line for line in lines if line.strip().startswith("syntax.parse_s"))
+    assert parse.split()[-3:] == ["2.000", "0/2", "yes"]
+    self_parse = next(line for line in lines if line.strip().startswith("self syntax.parse"))
+    assert "100 [100, 100]" in self_parse and "200 [200, 200]" in self_parse
+    self_image = next(line for line in lines if line.strip().startswith("self syntax.image"))
+    assert self_image.split()[-3:] == ["1.000", "0/2", "no"]
+    saved = json.loads((tmp_path / "ab.json").read_text())["proof_search"]
+    assert saved["change"][0]["metrics"]["self syntax.image"] == {"value": 50.0, "unit": "us"}
+    # untraced, the same slowdown is an end-to-end regression
+    assert ab_bench.main(argv) == 1
+    assert "REJECT proof_search setup_s" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import sys
@@ -88,6 +89,26 @@ def test_right_recursion_is_answered_without_recursion():
         sys.setrecursionlimit(old_limit)
     assert d.root.rule == "right_div"
     assert d.root.children[1].span == (1, len(deep))
+
+
+def test_deep_derivation_prints_as_latex_without_recursion():
+    g = ccg("s", [(RDiv(s, s), "a"), (s, "b")])
+    deep = "a" * 12000 + "b"
+    d = ccg_derive(g, s, deep)
+    old_limit = sys.getrecursionlimit()
+    # a few frames above this one: any recursion through the tree fails
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        text = d.to_latex()
+    finally:
+        sys.setrecursionlimit(old_limit)
+    # one `\infer` a letter `a`, around the axiom of `b`; hashed piece by
+    # piece, since the text holds every suffix of the word
+    want = hashlib.sha256()
+    for i in range(12000):
+        want.update(rf"\infer{{s({deep[i:]})}}{{(s / s)(a) & ".encode())
+    want.update(b"s(b)" + b"}" * 12000)
+    assert hashlib.sha256(text.encode()).hexdigest() == want.hexdigest()
 
 
 def test_derive_requires_universe_membership():

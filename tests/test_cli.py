@@ -318,19 +318,24 @@ def test_member_derivation_flag_rejects_lambek(capsys, tmp_path):
 
 
 def test_member_derivation_too_deep_to_print_exits_3(capsys, tmp_path):
-    # The categorial chart answers at any length, but the exports recurse
-    # once a tree level: a tree too deep to print is an exhausted budget,
-    # not "not a member".
+    # The categorial chart answers at any length, and the LaTeX export
+    # prints any tree; the JSON export recurses once a tree level: a tree
+    # too deep for it is an exhausted budget, not "not a member".
     path = tmp_path / "right.ccg"
     path.write_text("kind: ccg\ntarget: s\n'a' : s/s ;\n'b' : s ;\n")
     deep = "a" * 12000 + "b"
     code, out, _ = run(capsys, "member", "--grammar", str(path), deep)
     assert code == 0 and out == "member\n"
-    for flags in (["--output", "latex"], ["--output", "json", "--derivation"]):
-        code, out, err = run(capsys, "member", "--grammar", str(path), deep, *flags)
-        assert code == 3 and out == ""
-        assert err.startswith("budget exhausted:") and "12001" in err
-        assert "Traceback" not in err
+    code, out, err = run(capsys, "member", "--grammar", str(path), deep, "--output", "latex")
+    grammar = loads_grammar(path.read_text())
+    assert code == 0 and err == ""
+    assert out == ccg_derive(grammar, grammar.target, deep).to_latex() + "\n"
+    del out
+    code, out, err = run(capsys, "member", "--grammar", str(path), deep,
+                         "--output", "json", "--derivation")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted:") and "12001" in err
+    assert "Traceback" not in err
 
 
 def test_member_chart_recursion_exits_3(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import random
@@ -140,6 +141,28 @@ def test_derivations_are_read_and_replayed_without_recursion():
     for d in trees:
         assert d.root.span == (0, len(d.word)) and d.root.rule_index == 0
         assert [c.span for c in d.root.children[0]] == [(0, 1), (1, len(d.word))]
+
+
+def test_deep_derivation_prints_as_latex_without_recursion():
+    g = conj_grammar("S", [("S", [["a", "S"]]), ("S", [["X"]]), ("X", [["b"]])],
+                     terminals={"a", "b"})
+    deep = "a" * 12000 + "b"
+    d = cg_derivation(g, deep)
+    old_limit = sys.getrecursionlimit()
+    # a few frames above this one: any recursion through the tree fails
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        text = d.to_latex()
+    finally:
+        sys.setrecursionlimit(old_limit)
+    # two `\infer`s a letter `a` (the rule and its one conjunct), around the
+    # tree of `b`; hashed piece by piece, since the text holds every suffix
+    want = hashlib.sha256()
+    for i in range(12000):
+        want.update(rf"\infer{{S({deep[i:]})}}{{\infer{{aS({deep[i:]})}}{{a(a) & ".encode())
+    want.update(rb"\infer{S(b)}{\infer{X(b)}{\infer{X(b)}{\infer{b(b)}{b(b)}}}}")
+    want.update(b"}" * 24000)
+    assert hashlib.sha256(text.encode()).hexdigest() == want.hexdigest()
 
 
 # --- enumeration -------------------------------------------------------------

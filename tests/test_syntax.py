@@ -78,6 +78,47 @@ def test_parse_error_positions_point_at_the_token():
         assert exc.value.pos == at, text
 
 
+# Each template takes one character; the outcomes were recorded on the
+# character-by-character tokenizer the one-`findall` tokenizer replaced.
+# A foreign character is refused before parsing, even after a parse error
+# (`p ) ?`), at its own position.  A non-breaking space and a tab are
+# whitespace, and the text then fails or parses as the spaced one would.
+UNEXPECTED = ["?", ":", "-", "|", "\u00e9", "=", "\u00a0", "\t"]
+UNEXPECTED_CASES = [
+    # parser, template, position of a foreign character, outcome with whitespace
+    (parse_category, "p {} q", 2, ("trailing input 'q'", 4)),
+    (parse_category, "(p{}", 2, ("expected ')', found None", 3)),
+    (parse_category, "p ) {}", 4, ("trailing input ')'", 2)),
+    (parse_formula, "p {} q", 2, ("trailing input 'q'", 4)),
+    (parse_formula, "~{}p", 1, Atom("p", True)),
+    (parse_formula, "p ) {}", 4, ("trailing input ')'", 2)),
+    (parse_sequent, "p {} q -> p", 2, ("expected ',' or '->', found 'q'", 6)),
+    (parse_sequent, "p ->{}", 4, ("expected a category, found None", 5)),
+    (parse_sequent, ") -> {}q", 5, ("expected a category, found ')'", 0)),
+    (parse_macll_sequent, "|- p {} q", 5, ("trailing input 'q'", 7)),
+    (parse_macll_sequent, "|-{}", 2, ("expected a formula, found None", 3)),
+    (parse_macll_sequent, "|- ) {}", 5, ("expected a formula, found ')'", 3)),
+]
+
+
+@pytest.mark.parametrize("parse, template, at, spaced", UNEXPECTED_CASES)
+def test_unexpected_characters_are_refused_at_their_position(parse, template, at, spaced):
+    for char in UNEXPECTED:
+        text = template.format(char)
+        if char.isspace():
+            if not isinstance(spaced, tuple):
+                assert parse(text) == spaced, repr(text)
+                continue
+            message, at = spaced
+        else:
+            message = f"unexpected character {char!r}"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert type(exc.value) is ParseError, repr(text)
+        assert str(exc.value) == f"{message} (at position {at})", repr(text)
+        assert exc.value.pos == at, repr(text)
+
+
 def test_parse_sequent():
     seq = parse_sequent(r"t\t, r\r -> q")
     assert seq == Sequent((LDiv(t, t), LDiv(r, r)), q)
@@ -189,6 +230,34 @@ def test_macll_image_reverses_antecedent():
     assert img.formulas == (Atom("q", True), Atom("p", True), Atom("r"))
 
 
+def test_names_are_exactly_the_ascii_identifiers():
+    """`Prim` and `Atom` accept exactly the strings the identifier pattern
+    matches (and `Atom` neither `top` nor `bot`); a non-`str` name is a
+    `TypeError`."""
+    ident = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    rng = random.Random(15)
+    letters = "aZ_09 -~.\u00e9\u017f\u212a\u00a0\n"
+    names = ["", "top", "bot", "p", "_", "r_1", "1p", "0", "p q", "p\n",
+             "\u00e9", "\u017f", "\u212a", "q\u00e9", "if"]
+    names += ["".join(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+              for _ in range(3000)]
+    accepted = 0
+    for name in names:
+        ok = ident.fullmatch(name) is not None
+        for make, reserved in ((Prim, ()), (lambda n: Atom(n, True), ("top", "bot"))):
+            if ok and name not in reserved:
+                assert make(name).name == name
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    make(name)
+    assert accepted > 300
+    for bad in (1, None, b"p", ["p"]):
+        for make in (Prim, Atom):
+            with pytest.raises(TypeError):
+                make(bad)
+
+
 def test_fresh_names():
     gen = fresh_names({"_fresh_0", "x"})
     assert next(gen) == "_fresh_1"
@@ -276,6 +345,61 @@ def test_subexpressions_bounded(cat):
 @settings(max_examples=300)
 def test_basic_categories_are_and_free_conjunct_denominator_categories(cat):
     assert is_bcat(cat) == (is_bcat_conj(cat) and is_and_free(cat))
+
+
+# --- the one-sided image against a reference -----------------------------
+
+def _reference_hat(c):
+    """The one-sided image, written out rule by rule apart from the library."""
+    kind = type(c)
+    if kind is Prim:
+        return Atom(c.name)
+    if kind is LDiv:
+        return Par(_reference_negate(_reference_hat(c.left)), _reference_hat(c.right))
+    if kind is RDiv:
+        return Par(_reference_hat(c.left), _reference_negate(_reference_hat(c.right)))
+    node = {Prod: Times, And: With, Or: Plus}[kind]
+    return node(_reference_hat(c.left), _reference_hat(c.right))
+
+
+def _reference_negate(f):
+    kind = type(f)
+    if kind is Atom:
+        return Atom(f.name, not f.negated)
+    if kind in (Times, Par):
+        dual = Par if kind is Times else Times
+        return dual(_reference_negate(f.right), _reference_negate(f.left))
+    dual = Plus if kind is With else With
+    return dual(_reference_negate(f.left), _reference_negate(f.right))
+
+
+@given(st.lists(categories(4), max_size=4), categories(4))
+@settings(max_examples=200)
+def test_image_is_the_negated_antecedent_images_and_the_succedent_image(ants, succ):
+    seq = Sequent(tuple(ants), succ)
+    want = tuple(_reference_negate(_reference_hat(c)) for c in reversed(seq.antecedent))
+    want += (_reference_hat(seq.succedent),)
+    assert macll_image(seq).formulas == want
+    assert macll_image(seq).formulas == (
+        tuple(macll_negate(hat_translate(c)) for c in reversed(seq.antecedent))
+        + (hat_translate(seq.succedent),))
+
+
+def _leaves(node):
+    return [n for n in subtrees(node) if isinstance(n, (Prim, Atom))]
+
+
+def test_a_parse_and_an_image_share_their_leaves():
+    seq = parse_sequent("p, p\\p -> p")
+    prims = _leaves(seq.succedent) + [n for c in seq.antecedent for n in _leaves(c)]
+    assert len(prims) == 4 and all(n is prims[0] for n in prims)
+    atoms = [n for f in macll_image(seq).formulas for n in _leaves(f)]
+    assert len(atoms) == 4
+    for negated in (False, True):
+        same = [n for n in atoms if n.negated == negated]
+        assert len(same) == 2 and same[0] is same[1]
+    with pytest.raises(TypeError):
+        hat_translate(Atom("p"))
 
 
 # --- golden digests ----------------------------------------------------------
