@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj import _Recognizer, _infer_latex, cg_languages, check_letters
+from .conj import _Recognizer, cg_languages, check_letters
 from .errors import GrammarError
 from .grammars import CCG, ConjGrammar, Rule, chart_index
 from .syntax import (And, Category, LDiv, Prim, RDiv, category_latex,
-                     category_str, conjunct_members, fresh_names,
-                     subexpressions)
+                     category_str, conjunct_members, fresh_names, inference,
+                     separated, subexpressions, tree_pieces)
 
 
 def ccg_universe(g: CCG) -> frozenset[Category]:
@@ -62,28 +62,27 @@ class CCGDerivation:
     root: CCGNode
 
     def to_json(self) -> str:
-        """The tree as indented JSON.  Each level is indented again inside
-        its parent, so the text grows with the square of the tree's depth,
-        and building the nested dicts recurses once a level."""
-        return json.dumps(_ccg_node_json(self.root), sort_keys=True, indent=2) + "\n"
+        """The tree as one line of JSON with sorted keys: per node its
+        `head` category, `span`, `rule` (null for an axiom) and `children`
+        (null for an axiom)."""
+
+        def expand(node):
+            children = ["[", *separated(node.children, ", "), "]"] if node.children else ["null"]
+            return ['{"children": ', *children,
+                    ', "head": ', json.dumps(category_str(node.category)),
+                    ', "rule": ', "null" if node.rule == "axiom" else json.dumps(node.rule),
+                    ', "span": [%d, %d]}' % node.span]
+
+        return "".join(tree_pieces(self.root, expand)) + "\n"
 
     def to_latex(self) -> str:
-        return _ccg_node_latex(self.root, self.word)
+        w = self.word
 
+        def expand(node):
+            prop = f"{category_latex(node.category)}({w[node.span[0]:node.span[1]]})"
+            return [prop] if node.rule == "axiom" else inference(prop, node.children)
 
-def _ccg_node_json(node: CCGNode):
-    return {"head": category_str(node.category),
-            "span": list(node.span),
-            "rule": node.rule if node.rule != "axiom" else None,
-            "children": [_ccg_node_json(c) for c in node.children] or None}
-
-
-def _ccg_node_latex(root: CCGNode, w: str) -> str:
-    def expand(node):
-        prop = f"{category_latex(node.category)}({w[node.span[0]:node.span[1]]})"
-        return prop if node.rule == "axiom" else (prop, node.children)
-
-    return _infer_latex(root, expand)
+        return "".join(tree_pieces(self.root, expand))
 
 
 def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str]]:

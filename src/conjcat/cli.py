@@ -12,9 +12,8 @@ import sys
 
 from . import cvp as cvp_mod
 from . import transforms
-from .ccg import CCG, _ccg_node_json, ccg_derive, ccg_enumerate, ccg_member
-from .conj import (_cg_node_json, cg_derivation, cg_enumerate, cg_member,
-                   check_odd_normal_form)
+from .ccg import CCG, ccg_derive, ccg_enumerate, ccg_member
+from .conj import cg_derivation, cg_enumerate, cg_member, check_odd_normal_form
 from .errors import BudgetError, CalculusError, GrammarError, ParseError
 from .fileformat import dumps_grammar, load_bundle, load_grammar
 from .grammars import CALCULI, ConjGrammar
@@ -59,10 +58,11 @@ def _emit(args, text: str):
 
 
 def _answer(args, holds: bool, payload, text: str) -> int:
-    """Print a query's answer: `payload` as one sorted JSON line with
-    `--output json`, else `text`.  Exit 0 when the query holds, else 1."""
-    _emit(args, json.dumps(payload, sort_keys=True) + "\n"
-          if args.output == "json" else text)
+    """Print a query's answer: `payload` as one sorted JSON line (a `str`
+    is one) with `--output json`, else `text`.  Exit 0 when the query holds, else 1."""
+    if args.output == "json":
+        text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True) + "\n"
+    _emit(args, text)
     return 0 if holds else 1
 
 
@@ -74,10 +74,10 @@ def _cmd_member(args) -> int:
     grammar = load_grammar(args.grammar)
     if isinstance(grammar, ConjGrammar):
         derive, test = cg_derivation, cg_member
-        node_json = lambda root: _cg_node_json(root, grammar)
+        tree_json = lambda tree: tree.to_json(grammar)
     elif isinstance(grammar, CCG):
         derive, test = (lambda g, w: ccg_derive(g, g.target, w)), ccg_member
-        node_json = _ccg_node_json
+        tree_json = lambda tree: tree.to_json()
     elif args.derivation:
         raise GrammarError("Lambek membership yields no derivation; "
                            "--derivation applies to cg and ccg grammars")
@@ -91,17 +91,14 @@ def _cmd_member(args) -> int:
     member = tree is not None if want_tree else test(grammar, args.string)
     payload = {"string": args.string, "member": member}
     text = ("member" if member else "not a member") + "\n"
-    try:
-        if tree is not None and args.output == "latex":
-            text = tree.to_latex() + "\n"
-        elif tree is not None:
-            payload["derivation"] = node_json(tree.root)
-        return _answer(args, member, payload, text)
-    except RecursionError:
-        # the dict build and its dump recurse once a tree level, and a tree
-        # can be about as deep as the word is long
-        raise BudgetError(f"the derivation of a word of length {len(args.string)} "
-                          f"is too deep to print") from None
+    if tree is not None and args.output == "latex":
+        text = tree.to_latex() + "\n"
+    elif tree is not None:
+        # "derivation" sorts before the payload's other keys, so the
+        # tree's own JSON line goes first, as text.
+        payload = ('{"derivation": ' + tree_json(tree)[:-1] + ", "
+                   + json.dumps(payload, sort_keys=True)[1:] + "\n")
+    return _answer(args, member, payload, text)
 
 
 def _cmd_prove(args) -> int:
@@ -112,16 +109,13 @@ def _cmd_prove(args) -> int:
         tree = prove(args.calculus, parse_sequent(args.sequent), budget=budget)
     else:
         raise ParseError(f"unknown calculus {args.calculus!r}")
-    if tree is None:
-        return _answer(args, False, {"derivable": False, "sequent": args.sequent},
-                       "not derivable\n")
-    if args.output == "json":
-        _emit(args, tree.to_json())
-    elif args.output == "latex":
-        _emit(args, tree.to_latex() + "\n")
-    else:
-        _emit(args, "derivable\n")
-    return 0
+    payload = {"derivable": False, "sequent": args.sequent}
+    text = ("derivable" if tree is not None else "not derivable") + "\n"
+    if tree is not None and args.output == "latex":
+        text = tree.to_latex() + "\n"
+    elif tree is not None and args.output == "json":
+        payload = tree.to_json()
+    return _answer(args, tree is not None, payload, text)
 
 
 _TRANSLATIONS = ("cg", "ccg", "malc", "malc-empty", "malc-disj", "malc-disj-empty")
@@ -290,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-inputs", type=int, default=2)
     p.add_argument("--seed", type=int, default=None,
                    help="also fuzz random larger circuits, reproducibly")
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_nonnegative_int, default=25)
     common(p, outputs=("text", "json"),
            budget=f"member: the most preimages to check (default "
                   f"{cvp_mod.DEFAULT_CSP_BUDGET}; ${BUDGET_ENV} is not read)")

@@ -12,6 +12,7 @@ from typing import Optional
 from .errors import (BudgetError, GrammarError, UndeclaredSymbolError,
                      chart_too_deep)
 from .grammars import ConjGrammar, Rule, chart_index
+from .syntax import inference, separated, tree_pieces
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -57,70 +58,46 @@ class CGDerivation:
     root: CGNode
 
     def to_json(self, grammar: ConjGrammar) -> str:
-        """The tree as indented JSON.  Each level is indented again inside
-        its parent, so the text grows with the square of the tree's depth,
-        and building the nested dicts recurses once a level."""
-        return json.dumps(_cg_node_json(self.root, grammar), sort_keys=True, indent=2) + "\n"
+        """The tree as one line of JSON with sorted keys: per node its
+        `head` ("eps" for the empty-string axiom), `span`, `rule` (the
+        grammar rule's text, null for a leaf) and `children` (one list per
+        conjunct, null for a leaf)."""
+
+        def expand(item):
+            if isinstance(item, tuple):  # one conjunct's children
+                return ["[", *separated(item, ", "), "]"]
+            children, rule = ["null"], "null"
+            if item.rule_index is not None:
+                children = ["[", *separated(item.children, ", "), "]"]
+                rule = json.dumps(str(grammar.rules[item.rule_index]))
+            return ['{"children": ', *children,
+                    ', "head": ', json.dumps(item.symbol if item.symbol else "eps"),
+                    ', "rule": ', rule, ', "span": [%d, %d]}' % item.span]
+
+        return "".join(tree_pieces(self.root, expand)) + "\n"
 
     def to_latex(self) -> str:
-        return _cg_node_latex(self.root, self.word)
+        """A rule's node infers its head from one inference per conjunct,
+        each inferring the conjunct's body from that conjunct's children."""
+        w = self.word
 
+        def expand(item):
+            if isinstance(item, tuple):  # a conjunct: (its body, its span, its children)
+                body, span, group = item
+                return inference(_proposition(body, w, span), group)
+            if item.rule_index is None:
+                return [_proposition(item.symbol, w, item.span)]
+            return inference(_proposition(item.symbol, w, item.span), [
+                ("".join(c.symbol for c in group), item.span, group)
+                for group in item.children])
 
-def _cg_node_json(node: CGNode, g: ConjGrammar):
-    out = {"head": node.symbol if node.symbol else "eps",
-           "span": list(node.span),
-           "rule": None,
-           "children": None}
-    if node.rule_index is not None:
-        out["rule"] = str(g.rules[node.rule_index])
-        out["children"] = [[_cg_node_json(c, g) for c in group]
-                           for group in node.children]
-    return out
+        return "".join(tree_pieces(self.root, expand))
 
 
 def _proposition(symbol: str, w: str, span: tuple[int, int]) -> str:
     text = w[span[0]:span[1]]
     head = symbol if symbol else r"\varepsilon"
     return f"{head}({text if text else chr(92) + 'varepsilon'})"
-
-
-def _infer_latex(root, expand) -> str:
-    """A derivation as nested `\\infer{conclusion}{premise & ...}`, written
-    with an explicit stack, since a tree can be about as deep as its word
-    is long.  `expand(node)` gives a leaf's text, or an inference's
-    conclusion text and its premise nodes."""
-    out = []
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        step = item if isinstance(item, str) else expand(item)
-        if isinstance(step, str):
-            out.append(step)
-            continue
-        conclusion, premises = step
-        out.append(rf"\infer{{{conclusion}}}{{")
-        stack.append("}")
-        for i in range(len(premises) - 1, -1, -1):
-            stack.append(premises[i])
-            if i:
-                stack.append(" & ")
-    return "".join(out)
-
-
-def _cg_node_latex(root: CGNode, w: str) -> str:
-    """A rule's node infers its head from one inference per conjunct, each
-    inferring the conjunct's body from that conjunct's children."""
-
-    def expand(item):
-        if isinstance(item, tuple):  # a conjunct: (its body, its span, its children)
-            body, span, group = item
-            return _proposition(body, w, span), group
-        if item.rule_index is None:
-            return _proposition(item.symbol, w, item.span)
-        return _proposition(item.symbol, w, item.span), [
-            ("".join(c.symbol for c in group), item.span, group) for group in item.children]
-
-    return _infer_latex(root, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +675,7 @@ def _is_start_extension_rule(g: ConjGrammar, rule: Rule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Independent replay of a derivation (used by tests and the CLI)
+# Independent replay of a derivation
 # ---------------------------------------------------------------------------
 
 def replay_derivation(g: ConjGrammar, d: CGDerivation, start: Optional[str] = None) -> bool:

@@ -61,8 +61,8 @@ from .errors import BudgetError, CalculusError, UndeclaredSymbolError
 from .grammars import CALCULI, Calculus, LambekGrammar
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv, MacllSequent,
                      ONE, Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP, Times,
-                     With, is_multiplicative, macll_dual, macll_sequent_latex,
-                     sequent_latex)
+                     With, inference, is_multiplicative, macll_dual,
+                     macll_sequent_latex, separated, sequent_latex, tree_pieces)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -106,22 +106,29 @@ class ProofTree:
     premises: tuple["ProofTree", ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(_proof_json(self), sort_keys=True, indent=2) + "\n"
+        """The tree as one line of JSON with sorted keys: per node its
+        `sequent`, `rule` and `premises`."""
+
+        def expand(t):
+            return ['{"premises": [', *separated(t.premises, ", "),
+                    '], "rule": ', json.dumps(t.rule),
+                    ', "sequent": ', json.dumps(str(t.conclusion)), "}"]
+
+        return "".join(tree_pieces(self, expand)) + "\n"
 
     def to_latex(self) -> str:
-        return _proof_latex(self)
+        def expand(t):
+            c = t.conclusion
+            conclusion = sequent_latex(c) if isinstance(c, Sequent) else macll_sequent_latex(c)
+            if not t.premises and t.rule == "axiom":
+                return [conclusion]
+            return inference(conclusion, t.premises, f"[{_LATEX_RULES.get(t.rule, t.rule)}]")
+
+        return "".join(tree_pieces(self, expand))
 
     def rules(self) -> list[str]:
-        out = [self.rule]
-        for p in self.premises:
-            out.extend(p.rules())
-        return out
-
-
-def _proof_json(t: ProofTree):
-    return {"sequent": str(t.conclusion),
-            "rule": t.rule,
-            "premises": [_proof_json(p) for p in t.premises]}
+        """The rule of every node, in preorder."""
+        return list(tree_pieces(self, lambda t: [t.rule, *t.premises]))
 
 
 _LATEX_RULES = {
@@ -136,18 +143,6 @@ _LATEX_RULES = {
     "(with)": r"(\with)", "(plus)_1": r"(\oplus)_1", "(plus)_2": r"(\oplus)_2",
     "(cycle)": r"(\mathrm{cycle})",
 }
-
-
-def _conclusion_latex(c) -> str:
-    return sequent_latex(c) if isinstance(c, Sequent) else macll_sequent_latex(c)
-
-
-def _proof_latex(t: ProofTree) -> str:
-    if not t.premises and t.rule == "axiom":
-        return _conclusion_latex(t.conclusion)
-    label = _LATEX_RULES.get(t.rule, t.rule)
-    premises = " & ".join(_proof_latex(p) for p in t.premises)
-    return rf"\infer[{label}]{{{_conclusion_latex(t.conclusion)}}}{{{premises}}}"
 
 
 # ---------------------------------------------------------------------------

@@ -790,3 +790,35 @@ def fresh_name(used: set[str], preferred: Optional[str] = None) -> str:
     if preferred is not None and preferred not in used:
         return preferred
     return next(fresh_names(used))
+
+
+# ---------------------------------------------------------------------------
+# Tree exports: derivations and proofs as JSON or LaTeX
+# ---------------------------------------------------------------------------
+
+def tree_pieces(root, expand) -> Iterator[str]:
+    """The text of a tree, piece by piece, written with an explicit stack,
+    since a derivation or proof can be about as deep as its input is long.
+    `expand(node)` gives a node's text as a sequence of `str` pieces and
+    child nodes (anything but a `str`), each child expanded in its turn."""
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield item
+        else:
+            stack.extend(reversed(expand(item)))
+
+
+def separated(items, separator: str) -> list:
+    """`items` with `separator` between neighbours, for `expand`: the
+    elements of a JSON array or the premises of an inference."""
+    out = []
+    for item in items:
+        out += (separator, item)
+    return out[1:]
+
+
+def inference(conclusion: str, premises, label: str = "") -> list:
+    """`\\infer[label]{conclusion}{premise & ...}`, for `expand`."""
+    return [rf"\infer{label}{{{conclusion}}}{{", *separated(premises, " & "), "}"]

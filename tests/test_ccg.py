@@ -99,9 +99,15 @@ def test_deep_derivation_prints_as_latex_without_recursion():
     # a few frames above this one: any recursion through the tree fails
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
-        text = d.to_latex()
+        text, line = d.to_latex(), d.to_json()
     finally:
         sys.setrecursionlimit(old_limit)
+    n = len(deep)
+    assert line == ("".join('{"children": [{"children": null, "head": "s/s", "rule": null, '
+                            f'"span": [{i}, {i + 1}]}}, ' for i in range(12000))
+                    + f'{{"children": null, "head": "s", "rule": null, "span": [12000, {n}]}}'
+                    + "".join(f'], "head": "s", "rule": "right_div", "span": [{i}, {n}]}}'
+                              for i in reversed(range(12000))) + "\n")
     # one `\infer` a letter `a`, around the axiom of `b`; hashed piece by
     # piece, since the text holds every suffix of the word
     want = hashlib.sha256()

@@ -152,9 +152,18 @@ def test_deep_derivation_prints_as_latex_without_recursion():
     # a few frames above this one: any recursion through the tree fails
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
-        text = d.to_latex()
+        text, line = d.to_latex(), d.to_json(g)
     finally:
         sys.setrecursionlimit(old_limit)
+    n = len(deep)
+    assert line == ("".join('{"children": [[{"children": null, "head": "a", "rule": null, '
+                            f'"span": [{i}, {i + 1}]}}, ' for i in range(12000))
+                    + '{"children": [[{"children": [[{"children": null, "head": "b", '
+                    f'"rule": null, "span": [12000, {n}]}}]], "head": "X", "rule": "X -> b", '
+                    f'"span": [12000, {n}]}}]], "head": "S", "rule": "S -> X", '
+                    f'"span": [12000, {n}]}}'
+                    + "".join(f']], "head": "S", "rule": "S -> a S", "span": [{i}, {n}]}}'
+                              for i in reversed(range(12000))) + "\n")
     # two `\infer`s a letter `a` (the rule and its one conjunct), around the
     # tree of `b`; hashed piece by piece, since the text holds every suffix
     want = hashlib.sha256()

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -514,6 +515,14 @@ def test_additive_chains_agree_with_one_sided_search(seq):
         assert tree.conclusion == seq and replay_proof("MALC*", tree)
 
 
+def indented(line: str) -> str:
+    """A tree's one-line JSON as the indented text that the golden
+    constants were taken from; `line` must be exactly one sorted line."""
+    value = json.loads(line)
+    assert line == json.dumps(value, sort_keys=True) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 _AND_CHAIN_PROOF = """\
 {
   "premises": [
@@ -619,8 +628,8 @@ _OR_CHAIN_PROOF = """\
 
 def test_additive_chain_proofs_are_stable():
     """Golden proofs of a 3-leaf `&`-succedent and `+`-antecedent chain."""
-    assert prove("MALC*", S("p -> (p+q)&p&(q+p)")).to_json() == _AND_CHAIN_PROOF
-    assert prove("MALC*", S("(p+q)+r -> r+q+p")).to_json() == _OR_CHAIN_PROOF
+    assert indented(prove("MALC*", S("p -> (p+q)&p&(q+p)")).to_json()) == _AND_CHAIN_PROOF
+    assert indented(prove("MALC*", S("(p+q)+r -> r+q+p")).to_json()) == _OR_CHAIN_PROOF
 
 
 def test_fuzzed_macll_trees_replay():
@@ -918,7 +927,7 @@ def _tree_digest(calculus, seqs) -> str:
     h = hashlib.sha256()
     for seq in seqs:
         tree = prove(calculus, seq, cache=SearchCache())
-        h.update((tree.to_json() if tree else "None\n").encode())
+        h.update((indented(tree.to_json()) if tree else "None\n").encode())
     return h.hexdigest()
 
 

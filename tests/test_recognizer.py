@@ -6,6 +6,7 @@ conjunctive chart and against enumeration."""
 import gc
 import hashlib
 import itertools
+import json
 import random
 
 import hypothesis.strategies as st
@@ -47,6 +48,14 @@ GOLDEN = {
 GOLDEN_CONJ_TREES = "5e1e8d2b52bf473bb63b46ede71b1c7c6f8b734fd6b23227b2564bf78851b627"
 
 
+def indented(line: str) -> str:
+    """A tree's one-line JSON as the indented text that the golden digests
+    were taken from; `line` must be exactly one sorted line."""
+    value = json.loads(line)
+    assert line == json.dumps(value, sort_keys=True) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def words_over(letters, lo, hi):
     for n in range(lo, hi + 1):
         for combo in itertools.product(letters, repeat=n):
@@ -81,7 +90,8 @@ def derivation_digest(g, max_len=7) -> str:
                 w = "".join(combo)
                 d = ccg_derive(g, cat, w)
                 h.update(f"{category_str(cat)} {w}\n".encode())
-                h.update(b"-\n" if d is None else (d.to_json() + d.to_latex() + "\n").encode())
+                h.update(b"-\n" if d is None
+                         else (indented(d.to_json()) + d.to_latex() + "\n").encode())
     return h.hexdigest()
 
 
@@ -101,7 +111,7 @@ def test_conjunctive_trees_match_the_golden_digest_and_replay():
             h.update(b"-\n")
         else:
             assert conj_replay(g, d, start), (start, w)
-            h.update((d.to_json(g) + d.to_latex() + "\n").encode())
+            h.update((indented(d.to_json(g)) + d.to_latex() + "\n").encode())
     assert h.hexdigest() == GOLDEN_CONJ_TREES
 
 
