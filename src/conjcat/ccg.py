@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conj import _Recognizer, cg_languages, check_letters
+from .conj import (CGDerivation, CGNode, _Recognizer, cg_languages, check_letters,
+                   replay_derivation as conj_replay)
 from .errors import GrammarError
 from .grammars import CCG, ConjGrammar, Rule, chart_index
 from .syntax import (And, Category, LDiv, Prim, RDiv, category_latex,
@@ -85,9 +86,10 @@ class CCGDerivation:
         return "".join(tree_pieces(self.root, expand))
 
 
-def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str]]:
+def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str], tuple[str, ...]]:
     """The conjunctive grammar with one nonterminal per universe category,
-    and the category each nonterminal stands for.
+    the category each nonterminal stands for, and the inference each rule
+    translates (a `CCGNode.rule`).
 
     The rules mirror the categorial inferences one-to-one, so the two
     grammars have the same derivations: a conjunct rewrites to the
@@ -111,52 +113,41 @@ def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str]]:
         if cat not in names:
             names[cat] = next(gen)
 
-    rules = []
+    rules, kinds = [], []
     for cat in universe:
         if isinstance(cat, And):
             members = conjunct_members(cat)
             rules.append(Rule(names[cat], tuple((names[p],) for p in members)))
+            kinds.append("and_intro")
         elif isinstance(cat, LDiv):
             rules.append(Rule(names[cat.num], ((names[cat.den], names[cat]),)))
+            kinds.append("left_div")
         elif isinstance(cat, RDiv):
             rules.append(Rule(names[cat.num], ((names[cat], names[cat.den]),)))
+            kinds.append("right_div")
     for cat, sym in g.axioms:
         rules.append(Rule(names[cat], ((sym,),)))
+        kinds.append("axiom")
 
     translated = ConjGrammar(terminals=g.alphabet,
                              nonterminals=frozenset(names.values()),
                              start=names[g.target],
                              rules=tuple(rules))
-    return translated, names
+    return translated, names, tuple(kinds)
 
 
 class _CcgIndex:
     """What every query on one grammar shares, built on a grammar object's
     first query (`grammars.chart_index`): the universe, the translation
-    `ccg_translation` with its compiled recognizer tables, the category of
-    each nonterminal id, and each translated rule as a categorial
-    inference: its name, conclusion and premises (categories, or the
-    letter of an axiom)."""
+    `ccg_translation` with its compiled recognizer tables, and the
+    category of each nonterminal id."""
 
     def __init__(self, g: CCG):
         self.universe = ccg_universe(g)
-        self.translated, self.names = ccg_translation(g)
+        self.translated, self.names, self.kinds = ccg_translation(g)
         self.recognizer = _Recognizer(self.translated)
         self.ids = ids = {cat: self.recognizer.ids[name] for cat, name in self.names.items()}
         self.categories: list[Category] = sorted(ids, key=ids.__getitem__)
-        category = {name: cat for cat, name in self.names.items()}
-        # A denominator is always a conjunct, so only a left-division rule
-        # has an `LDiv` as its second body item.
-        self.rules = tuple(
-            "and_intro" if len(rule.conjuncts) > 1
-            else "axiom" if len(rule.conjuncts[0]) == 1
-            else "left_div" if isinstance(category[rule.conjuncts[0][1]], LDiv)
-            else "right_div"
-            for rule in self.translated.rules)
-        self.inferences = frozenset(
-            (name, category[rule.head],
-             tuple(tuple(category.get(sym, sym) for sym in body) for body in rule.conjuncts))
-            for name, rule in zip(self.rules, self.translated.rules))
 
     def build(self, nt: int, i: int, j: int, rule, groups) -> Optional[CCGNode]:
         """A node of `_Recognizer.tree` as a categorial one; a letter
@@ -164,7 +155,7 @@ class _CcgIndex:
         if rule is None:
             return None
         children = tuple(child for group in groups for child in group if child is not None)
-        return CCGNode(self.categories[nt], (i, j), self.rules[rule], children)
+        return CCGNode(self.categories[nt], (i, j), self.kinds[rule], children)
 
 
 def _check_word(g: CCG, w: str):
@@ -210,34 +201,37 @@ def ccg_enumerate(g: CCG, max_len: int) -> frozenset[str]:
 
 
 def replay_derivation(g: CCG, d: CCGDerivation) -> bool:
-    """Check a derivation against the three inference rules and the axioms."""
-    if d.root.span != (0, len(d.word)):
-        return False
+    """Check a derivation against the inference rules and the axioms: its
+    image on the translation, each node citing the translated rule of its
+    inference, must replay there (`conj.replay_derivation`)."""
     index = chart_index(g, _CcgIndex)
-    pending = [d.root]
+    w = d.word
+    order, pending = [], [d.root]
     while pending:
         node = pending.pop()
-        if not _replay_step(index, d.word, node):
+        order.append(node)
+        pending.extend(reversed(node.children))
+    # in reverse preorder each node's children are mapped just before it,
+    # first child on top
+    mapped: list[CGNode] = []
+    for node in reversed(order):
+        kids = tuple(mapped.pop() for _ in node.children)
+        if node.rule == "axiom":
+            if kids:
+                return False
+            groups = ((CGNode(w[node.span[0]:node.span[0] + 1], node.span),),)
+        elif node.rule == "and_intro":
+            groups = tuple((kid,) for kid in kids)
+        else:
+            groups = (kids,)
+        nt = index.ids.get(node.category)
+        if nt is None:
             return False
-        pending.extend(node.children)
-    return True
-
-
-def _replay_step(index: _CcgIndex, w: str, node: CCGNode) -> bool:
-    """Does `node` follow from its children's propositions by its rule,
-    read as the translated rule it names?"""
-    i, j = node.span
-    kids = node.children
-    if not 0 <= i < j <= len(w):
-        return False
-    if node.rule == "axiom":
-        spans = not kids and j == i + 1
-        premises = ((w[i],),)
-    elif node.rule == "and_intro":
-        spans = all(kid.span == (i, j) for kid in kids)
-        premises = tuple((kid.category,) for kid in kids)
-    else:
-        spans = (len(kids) == 2 and kids[0].span == (i, kids[1].span[0])
-                 and kids[1].span[1] == j)
-        premises = (tuple(kid.category for kid in kids),)
-    return spans and (node.rule, node.category, premises) in index.inferences
+        body = tuple(tuple(kid.symbol for kid in group) for group in groups)
+        rule = next((k for k, _ in index.recognizer.by_head[nt] if index.kinds[k] == node.rule
+                     and index.translated.rules[k].conjuncts == body), None)
+        if rule is None:
+            return False
+        mapped.append(CGNode(index.recognizer.names[nt], node.span, rule, groups))
+    root = mapped[0]
+    return conj_replay(index.translated, CGDerivation(w, root), start=root.symbol)

@@ -640,38 +640,32 @@ def check_odd_normal_form(g: ConjGrammar) -> OddFormReport:
     referenced = {sym for rule in g.rules for body in rule.conjuncts
                   for sym in body if sym in g.nonterminals}
     for rule in g.rules:
-        if _is_terminal_rule(g, rule) or _is_triple_rule(g, rule):
-            continue
-        if _is_start_extension_rule(g, rule):
-            if rule.head != g.start:
-                violations.append(
-                    f"rule {rule}: only the start symbol may have a symbol-"
-                    f"nonterminal rule")
-            elif g.start in referenced:
-                violations.append(
-                    f"rule {rule}: start symbol is referenced in a rule body")
-            continue
-        violations.append(f"rule {rule}: not of any permitted shape")
+        shape = _odd_form_shape(g, rule)
+        if shape is None:
+            violations.append(f"rule {rule}: not of any permitted shape")
+        elif shape == "start" and rule.head != g.start:
+            violations.append(
+                f"rule {rule}: only the start symbol may have a symbol-"
+                f"nonterminal rule")
+        elif shape == "start" and g.start in referenced:
+            violations.append(
+                f"rule {rule}: start symbol is referenced in a rule body")
     return OddFormReport(not violations, tuple(violations))
 
 
-def _is_terminal_rule(g: ConjGrammar, rule: Rule) -> bool:
-    return (len(rule.conjuncts) == 1 and len(rule.conjuncts[0]) == 1
-            and rule.conjuncts[0][0] in g.terminals)
-
-
-def _is_triple_rule(g: ConjGrammar, rule: Rule) -> bool:
-    return all(len(body) == 3
-               and body[0] in g.nonterminals
-               and body[1] in g.terminals
-               and body[2] in g.nonterminals
-               for body in rule.conjuncts)
-
-
-def _is_start_extension_rule(g: ConjGrammar, rule: Rule) -> bool:
-    return (len(rule.conjuncts) == 1 and len(rule.conjuncts[0]) == 2
-            and rule.conjuncts[0][0] in g.terminals
-            and rule.conjuncts[0][1] in g.nonterminals)
+def _odd_form_shape(g: ConjGrammar, rule: Rule) -> Optional[str]:
+    """The odd-normal-form shape of `rule`: "terminal" for A->a, "triple"
+    for a conjunction of N-terminal-N bodies, "start" for S->aA, else None."""
+    body = rule.conjuncts[0]
+    if len(rule.conjuncts) == 1 and len(body) == 1 and body[0] in g.terminals:
+        return "terminal"
+    if (len(rule.conjuncts) == 1 and len(body) == 2
+            and body[0] in g.terminals and body[1] in g.nonterminals):
+        return "start"
+    if all(len(body) == 3 and body[0] in g.nonterminals and body[1] in g.terminals
+           and body[2] in g.nonterminals for body in rule.conjuncts):
+        return "triple"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +684,7 @@ def replay_derivation(g: ConjGrammar, d: CGDerivation, start: Optional[str] = No
         node = pending.pop()
         i, j = node.span
         if node.rule_index is None:
-            if not (node.symbol in g.terminals and j == i + 1 and w[i] == node.symbol):
+            if not (node.symbol in g.terminals and j == i + 1 and w[i:j] == node.symbol):
                 return False
             continue
         if not (0 <= node.rule_index < len(g.rules)):

@@ -24,7 +24,7 @@ Bundle files hold one quotient grammar per letter:
 
 import re
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .errors import ParseError
 from .grammars import (CALCULI, CCG, ConjGrammar, LambekGrammar, Rule,
@@ -87,12 +87,16 @@ def _parse_cg(headers: dict[str, str], statements: list[str]) -> ConjGrammar:
         if len(t) != 1:
             raise ParseError(f"terminal must be a single symbol: {t!r}")
 
-    def is_terminal(token: str) -> bool:
-        if _QUOTED_RE.match(token):
-            return True
+    def terminal(token: str) -> Optional[str]:
+        """The terminal `token` names, or None for a nonterminal."""
+        m = _QUOTED_RE.match(token)
+        if m:
+            return m.group(1)
+        if token.startswith("'"):
+            raise ParseError(f"a quoted terminal is one symbol: {token!r}")
         if declared:
-            return token in declared
-        return len(token) == 1 and token.islower()
+            return token if token in declared else None
+        return token if len(token) == 1 and token.islower() else None
 
     rules = []
     terminals = set(declared)
@@ -102,6 +106,8 @@ def _parse_cg(headers: dict[str, str], statements: list[str]) -> ConjGrammar:
         head = head.strip()
         if not arrow:
             raise ParseError(f"rule needs '->': {statement!r}")
+        if len(head.split()) != 1 or head.startswith("'") or "->" in rest:
+            raise ParseError(f"rule needs one nonterminal before one '->': {statement!r}")
         nonterminals.add(head)
         for alternative in rest.split("|"):
             conjuncts = []
@@ -110,15 +116,17 @@ def _parse_cg(headers: dict[str, str], statements: list[str]) -> ConjGrammar:
                 if tokens == ["eps"]:
                     conjuncts.append(())
                     continue
+                if not tokens:
+                    raise ParseError(f"empty body, written eps: {statement!r}")
                 body = []
                 for token in tokens:
-                    if is_terminal(token):
-                        sym = _symbol_token(token)
-                        terminals.add(sym)
-                        body.append(sym)
+                    sym = terminal(token)
+                    if sym is None:
+                        sym = token
+                        nonterminals.add(sym)
                     else:
-                        nonterminals.add(token)
-                        body.append(token)
+                        terminals.add(sym)
+                    body.append(sym)
                 conjuncts.append(tuple(body))
             rules.append(Rule(head, tuple(conjuncts)))
     return ConjGrammar(frozenset(terminals), frozenset(nonterminals),

@@ -61,7 +61,7 @@ from .errors import BudgetError, CalculusError, UndeclaredSymbolError
 from .grammars import CALCULI, Calculus, LambekGrammar
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv, MacllSequent,
                      ONE, Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP, Times,
-                     With, inference, is_multiplicative, macll_dual,
+                     With, chain_leaves, inference, is_multiplicative, macll_dual,
                      macll_sequent_latex, separated, sequent_latex, tree_pieces)
 
 DEFAULT_BUDGET = 10_000_000
@@ -291,13 +291,6 @@ class _Search:
 _SeqKey = tuple[tuple[Category, ...], Category]
 
 
-def _leaves(c: Category, op: type) -> tuple[Category, ...]:
-    """The leaves of a chain of the binary connective `op`, left to right."""
-    if isinstance(c, op):
-        return _leaves(c.left, op) + _leaves(c.right, op)
-    return (c,)
-
-
 def _descend(chain: Category, op: type, i: int, rule: str, place,
              subtree: ProofTree) -> ProofTree:
     """Wrap `subtree`, whose conclusion has leaf `i` of the `op`-chain in
@@ -305,7 +298,7 @@ def _descend(chain: Category, op: type, i: int, rule: str, place,
     `place(c)` is the conclusion with `c` in the chain's place."""
     if not isinstance(chain, op):
         return subtree
-    left_count = len(_leaves(chain.left, op))
+    left_count = len(chain_leaves(chain.left, op))
     if i < left_count:
         step, child = "_1", _descend(chain.left, op, i, rule, place, subtree)
     else:
@@ -355,7 +348,7 @@ class _TwoSidedSearch(_Search):
                 return
         # choice rules
         if isinstance(succ, Or):
-            for i, leaf in enumerate(_leaves(succ, Or)):
+            for i, leaf in enumerate(chain_leaves(succ, Or)):
                 yield ("or_right", i, ((ants, leaf),))
         if isinstance(succ, Prod):
             for k in range(n + 1):
@@ -371,7 +364,7 @@ class _TwoSidedSearch(_Search):
             # becomes principal.  "and_left" records (h, leaf index, rule),
             # its premises are those of that rule, and rule None means the
             # leaf simply replaces the chain.
-            for i, leaf in enumerate(_leaves(a, And)):
+            for i, leaf in enumerate(chain_leaves(a, And)):
                 if isinstance(leaf, Prim):
                     if n == 1 and leaf == succ:
                         yield ("and_left", (h, i, "axiom"), ())
@@ -415,7 +408,7 @@ class _TwoSidedSearch(_Search):
             if principal is None:
                 subtree = self.rebuild(premises[0])
             else:
-                leaf = _leaves(ants[h], And)[i]
+                leaf = chain_leaves(ants[h], And)[i]
                 subtree = ProofTree(Sequent(ants[:h] + (leaf,) + ants[h + 1:], succ),
                                     principal, tuple(self.rebuild(p) for p in premises))
             return _descend(ants[h], And, i, "(&->)",

@@ -158,34 +158,52 @@ def is_and_free(c: Category) -> bool:
     return not any(isinstance(n, And) for n in subtrees(c))
 
 
+def chain(op: type, parts: Iterable[_Node]) -> _Node:
+    """The right-leaning chain of `parts` joined by the binary connective
+    `op`; a single part stays bare."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError(f"an {op.__name__} chain needs at least one part")
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = op(part, out)
+    return out
+
+
+def chain_leaves(c: _Node, op: type) -> tuple[_Node, ...]:
+    """The leaves of an `op`-chain of any association, left to right; a
+    node of another kind is its own only leaf."""
+    if not isinstance(c, op):
+        return (c,)
+    leaves, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        while isinstance(node, op):
+            stack.append(node.right)
+            node = node.left
+        leaves.append(node)
+    return tuple(leaves)
+
+
 def is_conjunct(c: Category) -> bool:
     """True for a primitive or an `&`-combination (any association) of primitives."""
     if isinstance(c, Prim):
         return True
-    if isinstance(c, And):
-        return is_conjunct(c.left) and is_conjunct(c.right)
-    return False
+    return isinstance(c, And) and all(isinstance(m, Prim) for m in chain_leaves(c, And))
 
 
 def conjunct_members(c: Category) -> tuple[Prim, ...]:
     """The flattened member primitives of a conjunct, left to right."""
-    if isinstance(c, Prim):
-        return (c,)
-    if isinstance(c, And):
-        return conjunct_members(c.left) + conjunct_members(c.right)
-    raise ValueError(f"not a conjunct: {category_str(c)}")
+    members = chain_leaves(c, And)
+    if not all(isinstance(m, Prim) for m in members):
+        raise ValueError(f"not a conjunct: {category_str(c)}")
+    return members
 
 
 def make_conjunct(parts: Iterable[Category]) -> Category:
     """Right-leaning `&`-combination; a single member stays bare.  A
     conjunct has primitive members, a lexicon entry any categories."""
-    members = list(parts)
-    if not members:
-        raise ValueError("conjunct needs at least one member")
-    out = members[-1]
-    for p in reversed(members[:-1]):
-        out = And(p, out)
-    return out
+    return chain(And, parts)
 
 
 def is_bcat_conj(c: Category) -> bool:
@@ -545,9 +563,7 @@ class _Parser:
         if self.tok in ops:
             raise ParseError(f"mixed {op} and {self.tok} chain needs parentheses", self.pos())
         node = ops[op]
-        if node in _LEFT_ASSOCIATIVE:
-            return reduce(node, parts)
-        return reduce(lambda right, left: node(left, right), reversed(parts))
+        return reduce(node, parts) if node in _LEFT_ASSOCIATIVE else chain(node, parts)
 
 
 def _parse_all(text: str, syntax: _Syntax):

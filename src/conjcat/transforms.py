@@ -6,12 +6,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .ccg import ccg_translation
-from .conj import cg_enumerate, check_odd_normal_form
+from .conj import _odd_form_shape, cg_enumerate, check_odd_normal_form
 from .errors import BudgetError, GrammarError, UndeclaredSymbolError
 from .grammars import CCG, ConjGrammar, LambekGrammar
-from .syntax import (And, Category, LDiv, Or, Prim, RDiv, category_str,
-                     conjunct_members, fresh_name, fresh_names, is_and_free,
-                     is_conjunct, make_conjunct, primitive_names,
+from .syntax import (And, Category, LDiv, Or, Prim, RDiv, category_str, chain,
+                     chain_leaves, conjunct_members, fresh_name, fresh_names,
+                     is_and_free, is_conjunct, make_conjunct, primitive_names,
                      substitute_primitive)
 
 
@@ -24,7 +24,7 @@ def ccg_to_cg(g: CCG) -> ConjGrammar:
 
     The rules mirror the categorial inferences one-to-one, so the two
     grammars have the same derivations (`ccg.ccg_translation`, which also
-    gives the category of each nonterminal).
+    gives the category of each nonterminal and the inference of each rule).
     """
     return ccg_translation(g)[0]
 
@@ -109,12 +109,13 @@ def bundle_to_ccg(bundle: QuotientBundle) -> CCG:
         if grammar is None:
             continue
         for rule in grammar.rules:
+            shape = _odd_form_shape(grammar, rule)
             body = rule.conjuncts[0]
-            if len(rule.conjuncts) == 1 and len(body) == 1:
+            if shape == "terminal":
                 leaf = next(gen)
                 conj_rules.setdefault(rule.head, []).append((leaf,))
                 leaf_rules.append((leaf, body[0]))
-            elif len(rule.conjuncts) == 1 and len(body) == 2:
+            elif shape == "start":
                 ext = next(gen)
                 conj_rules.setdefault(rule.head, []).append((ext,))
                 extend_rules.append((ext, body[0], body[1]))
@@ -178,12 +179,6 @@ def ccg_to_malc(g: CCG) -> LambekGrammar:
 # Empty-string support
 # ---------------------------------------------------------------------------
 
-def _is_simple(cat: Category, target: str) -> bool:
-    if isinstance(cat, And):
-        return _is_simple(cat.left, target) and _is_simple(cat.right, target)
-    return _is_simple_base(cat, target)
-
-
 def _good_conjunct(cat: Category, target: str) -> bool:
     return is_conjunct(cat) and all(m.name != target for m in conjunct_members(cat))
 
@@ -229,7 +224,7 @@ def add_empty_string(g: LambekGrammar) -> LambekGrammar:
     target = g.target.name
     for sym, cats in sorted(g.lexicon.items()):
         for cat in cats:
-            if not _is_simple(cat, target):
+            if not all(_is_simple_base(leaf, target) for leaf in chain_leaves(cat, And)):
                 raise GrammarError(
                     f"lexicon entry {category_str(cat)} for {sym!r} is not in "
                     f"the simple shape the substitution argument requires")
@@ -274,10 +269,7 @@ def to_disjunction_grammar(g: CCG, include_empty: bool = False) -> LambekGrammar
     used.add(f.name)
 
     def negated_disjunction(parts: list[Category]) -> Category:
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Or(part, out)
-        return LDiv(out, f)
+        return LDiv(chain(Or, parts), f)
 
     def conjunct_image(den: Category) -> Category:
         return negated_disjunction([LDiv(p, f) for p in conjunct_members(den)])
@@ -332,12 +324,6 @@ class Homomorphism:
         for src, dst in self.mapping.items():
             if len(src) != 1 or len(dst) != 1:
                 raise GrammarError("homomorphism must map symbols to symbols")
-
-    def apply(self, w: str) -> str:
-        try:
-            return "".join(self.mapping[ch] for ch in w)
-        except KeyError as e:
-            raise GrammarError(f"symbol {e.args[0]!r} outside the source alphabet")
 
     def preimages(self, target: str) -> tuple[str, ...]:
         return tuple(sorted(src for src, dst in self.mapping.items() if dst == target))

@@ -158,6 +158,17 @@ def test_replay_rejects_every_one_node_change():
         assert not replay_derivation(g, CCGDerivation("bacaca", root)), root
 
 
+def test_replay_rejects_an_axiom_with_premises():
+    g = samples.three_block_ccg()
+    d = ccg_derive(g, s, "bacaca")
+    letter = d.root.children[0]
+    assert letter.rule == "axiom" and replay_derivation(g, d)
+    for premises in ((letter,), (d.root,)):
+        bad = dataclasses.replace(letter, children=premises)
+        root = dataclasses.replace(d.root, children=(bad,) + d.root.children[1:])
+        assert not replay_derivation(g, CCGDerivation("bacaca", root))
+
+
 def test_derivation_exports():
     d = ccg_derive(samples.three_block_ccg(), s, "bacaca")
     assert '"head": "s"' in d.to_json()

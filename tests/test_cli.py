@@ -11,6 +11,8 @@ from conjcat.fileformat import dumps_bundle, dumps_grammar, loads_grammar
 from conjcat.prover import lambek_enumerate
 from conjcat.transforms import ccg_to_cg, ccg_to_malc
 
+from helpers import indented
+
 
 @pytest.fixture()
 def three_block_ccg_file(tmp_path):
@@ -32,14 +34,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def indented(line: str) -> str:
-    """A tree's one-line JSON as the indented text that the golden
-    constants were taken from; `line` must be exactly one sorted line."""
-    value = json.loads(line)
-    assert line == json.dumps(value, sort_keys=True) + "\n"
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
 def test_member_exit_codes(capsys, three_block_ccg_file):
     code, out, _ = run(capsys, "member", "--grammar", three_block_ccg_file, "bacaca")
     assert code == 0 and out == "member\n"
@@ -47,6 +41,13 @@ def test_member_exit_codes(capsys, three_block_ccg_file):
     assert code == 1 and out == "not a member\n"
     code, _, err = run(capsys, "member", "--grammar", three_block_ccg_file, "zz")
     assert code == 2 and "error" in err
+
+
+def test_member_on_a_malformed_grammar_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.cg"
+    path.write_text("kind: cg\nstart: S\nS -> a | ;\n")
+    code, out, err = run(capsys, "member", "--grammar", str(path), "")
+    assert code == 2 and out == "" and "empty body" in err
 
 
 def test_member_cg_and_latex(capsys, three_block_cg_file):

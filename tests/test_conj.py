@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import conjcat.samples as samples
-from conjcat.conj import (CGDerivation, _Chart, cg_derivation, cg_enumerate,
+from conjcat.conj import (CGDerivation, CGNode, _Chart, cg_derivation, cg_enumerate,
                           cg_member, check_odd_normal_form,
                           nullable_nonterminals, replay_derivation)
 from conjcat.ccg import ccg_member
@@ -389,6 +389,23 @@ def test_replay_rejects_tampered_tree():
     d = cg_derivation(g, "bacaca")
     bad = dataclasses.replace(d.root, symbol="A")
     assert not replay_derivation(g, CGDerivation("bacaca", bad))
+
+
+def test_replay_rejects_spans_outside_the_word():
+    """Every span chains, but leaves sit at -3, -2 and -1 of a two-letter
+    word: the tree is refused, and reading its letters must not raise."""
+    g = conj_grammar("S", [("S", [["A", "A"]]), ("A", [["a"]]), ("A", [["A", "A"]])], {"a"})
+
+    def leaf(i):
+        return CGNode("A", (i, i + 1), 1, ((CGNode("a", (i, i + 1)),),))
+
+    def pair(i, j, left, right):
+        return CGNode("A", (i, j), 2, ((left, right),))
+
+    inner = pair(-3, 2, leaf(-3), pair(-2, 2, leaf(-2), pair(-1, 2, leaf(-1),
+                                                              pair(0, 2, leaf(0), leaf(1)))))
+    root = CGNode("S", (0, 2), 0, ((leaf(0), pair(1, 2, pair(1, -3, leaf(1), leaf(2)), inner)),))
+    assert not replay_derivation(g, CGDerivation("aa", root))
 
 
 # --- rule-shape check ----------------------------------------------------------

@@ -84,6 +84,19 @@ C -> a C A b | a C 0 | a C 1 | b ;
     assert g == cvp_grammar()
 
 
+@pytest.mark.parametrize("rules, message", [
+    (" -> b ;", "one nonterminal before one '->'"),
+    ("S -> -> a ;", "one nonterminal before one '->'"),
+    ("S -> 'ab' ;", "a quoted terminal is one symbol"),
+    ("S -> a | ;", "empty body, written eps"),
+])
+def test_load_cg_refuses_malformed_rules(rules, message):
+    """Each would otherwise load as another grammar: one with a
+    nonterminal `''`, `->` or `'ab'`, or with an empty body read as `eps`."""
+    with pytest.raises(ParseError, match=message):
+        loads_grammar(f"kind: cg\nstart: S\n{rules}\n")
+
+
 def test_load_ccg():
     g = loads_grammar("""
 kind: ccg

@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import itertools
-import json
 import os
 import random
 import subprocess
@@ -27,6 +26,8 @@ from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             ZERO, is_multiplicative, macll_image, macll_negate,
                             make_conjunct, parse_category, parse_macll_sequent,
                             parse_sequent, substitute_primitive)
+
+from helpers import indented
 
 S = parse_sequent
 p, q, r, s = (Prim(n) for n in "pqrs")
@@ -513,14 +514,6 @@ def test_additive_chains_agree_with_one_sided_search(seq):
     if two:
         tree = prove("MALC*", seq)
         assert tree.conclusion == seq and replay_proof("MALC*", tree)
-
-
-def indented(line: str) -> str:
-    """A tree's one-line JSON as the indented text that the golden
-    constants were taken from; `line` must be exactly one sorted line."""
-    value = json.loads(line)
-    assert line == json.dumps(value, sort_keys=True) + "\n"
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 _AND_CHAIN_PROOF = """\

@@ -6,7 +6,6 @@ conjunctive chart and against enumeration."""
 import gc
 import hashlib
 import itertools
-import json
 import random
 
 import hypothesis.strategies as st
@@ -21,8 +20,11 @@ from conjcat.cvp import cvp_grammar, encode_circuit, enumerate_circuits
 from conjcat.fileformat import dumps_grammar
 from conjcat.fuzz import random_conj_grammar
 from conjcat.grammars import ccg
+from conjcat.prover import SearchCache, lambek_member
 from conjcat.syntax import LDiv, Prim, RDiv, category_str, make_conjunct
-from conjcat.transforms import bundle_to_ccg, ccg_to_cg
+from conjcat.transforms import bundle_to_ccg, ccg_to_cg, ccg_to_malc
+
+from helpers import indented
 
 # SHA-256 digests of the translation's file text and of every derivation,
 # taken from the recursive categorial chart this recognizer replaced.
@@ -46,14 +48,6 @@ GOLDEN = {
 # LaTeX, or `-`) over `conj_tree_cases`, taken from the demand-driven
 # chart before trees moved to the recognizer's table.
 GOLDEN_CONJ_TREES = "5e1e8d2b52bf473bb63b46ede71b1c7c6f8b734fd6b23227b2564bf78851b627"
-
-
-def indented(line: str) -> str:
-    """A tree's one-line JSON as the indented text that the golden digests
-    were taken from; `line` must be exactly one sorted line."""
-    value = json.loads(line)
-    assert line == json.dumps(value, sort_keys=True) + "\n"
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def words_over(letters, lo, hi):
@@ -173,12 +167,16 @@ WORDS = ["".join(c) for n in range(1, 6) for c in itertools.product("ab", repeat
 @given(small_ccgs())
 @settings(max_examples=100, deadline=None)
 def test_categorial_membership_matches_translation_and_enumeration(g):
+    """The equivalence and embedding theorems as oracles: the grammar, its
+    conjunctive translation and its Lambek image with additives accept
+    the same words."""
     language = ccg_enumerate(g, 5)
     assume(language)
-    translated = ccg_to_cg(g)
+    translated, embedded, cache = ccg_to_cg(g), ccg_to_malc(g), SearchCache()
     for w in WORDS:
         member = ccg_member(g, w)
         assert member == cg_member(translated, w) == (w in language), w
+        assert member == lambek_member(embedded, w, cache=cache), w
         if member:
             assert replay_derivation(g, ccg_derive(g, g.target, w)), w
 
