@@ -208,7 +208,10 @@ class _Chart:
                     return True
             return False
 
-        return walk(0, i)
+        try:
+            return walk(0, i)
+        finally:
+            del walk  # the closure refers to itself; leave no cycle behind
 
 
 class _Recognizer:

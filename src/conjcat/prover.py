@@ -5,7 +5,7 @@ Every inference rule's premises carry strictly fewer connectives than its
 conclusion, so plain memoized recursion terminates without loop checks.
 The search does not check this as it runs: a property test over every
 expansion of arbitrary sequents pins it (`tests/test_prover.py`).
-Four devices keep desk-scale searches tractable, none losing
+Five devices keep desk-scale searches tractable, none losing
 completeness:
 
 - a primitive-count necessary condition: counting occurrences per
@@ -33,6 +33,19 @@ completeness:
   chain for the invertible rule that follows.  (&->) permutes below
   every rule whose principal formula lies elsewhere, so nothing is lost,
   and the states no longer multiply across chains;
+
+- left rules are focused on the head (Andreoli 1992, "Logic programming
+  with focusing proofs in linear logic"; for L, Hepple 1990, "Normal
+  form theorem proving for the Lambek calculus"): at a primitive
+  succedent `p`, (\\->) and (/->) are tried only on a formula, or an
+  `&`-chain leaf, whose head can be `p`.  The head is found by stripping
+  the numerators of `\\` and `/`; a primitive head must be `p`, an `&`
+  matches when either side does, and a `.` or `+` head matches anything.
+  By focusing completeness some proof decomposes, at each goal with a
+  primitive succedent, one formula along its numerators and chosen `&`
+  sides until either the axiom on `p` or a `.`/`+` that ends the focus,
+  so every left rule of that proof passes the test.  At a `.` or `+`
+  succedent nothing is pruned;
 
 - the one-sided search is focused on its invertible rules: when some
   rotation's head is `top`, a `@`, a `&`, or `bot` beside other
@@ -306,6 +319,16 @@ def _descend(chain: Category, op: type, i: int, rule: str, place,
     return ProofTree(place(chain), rule + step, (child,))
 
 
+def _head_can_be(a: Category, p: Prim) -> bool:
+    """Can a left focus on `a` end at the axiom on `p`, or at a `.` or `+`
+    that ends the focus?  See the head focus in the module docstring."""
+    while isinstance(a, (LDiv, RDiv)):
+        a = a.num
+    if isinstance(a, And):
+        return _head_can_be(a.left, p) or _head_can_be(a.right, p)
+    return not isinstance(a, Prim) or a == p
+
+
 class _TwoSidedSearch(_Search):
     """Goals are `(antecedents, succedent)` pairs."""
 
@@ -355,8 +378,13 @@ class _TwoSidedSearch(_Search):
                 if restricted and (k == 0 or k == n):
                     continue  # an empty part is underivable anyway
                 yield ("(->.)", k, ((ants[:k], succ.left), (ants[k:], succ.right)))
+        # Head focus: at a primitive succedent only a formula whose head can
+        # be that primitive is worth a left rule.
+        focus = succ if isinstance(succ, Prim) else None
         for h in range(n):
             a = ants[h]
+            if focus is not None and not _head_can_be(a, focus):
+                continue
             if not isinstance(a, And):
                 yield from self._division_left(ants, succ, h, a)
                 continue
@@ -369,6 +397,8 @@ class _TwoSidedSearch(_Search):
                     if n == 1 and leaf == succ:
                         yield ("and_left", (h, i, "axiom"), ())
                 elif isinstance(leaf, (LDiv, RDiv)):
+                    if focus is not None and not _head_can_be(leaf, focus):
+                        continue
                     for rule, _, premises in self._division_left(ants, succ, h, leaf):
                         yield ("and_left", (h, i, rule), premises)
                 else:

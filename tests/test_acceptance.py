@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -322,9 +323,13 @@ def test_criterion_10_determinism(tmp_path):
         [sys.executable, "-m", "conjcat.cli", "enumerate", "--grammar",
          str(grammar_path), "--max-len", "9", "--output", "json"],
     ]
+    # the children import conjcat from this checkout, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     for command in commands:
-        first = subprocess.run(command, capture_output=True, check=True)
-        second = subprocess.run(command, capture_output=True, check=True)
+        first = subprocess.run(command, capture_output=True, check=True, env=env)
+        second = subprocess.run(command, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         json.loads(first.stdout)
     elapsed = time.time() - start

@@ -23,9 +23,9 @@ from conjcat.prover import (ProofTree, SearchCache, _MacllSearch, _TwoSidedSearc
                             prove_macll)
 from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
-                            ZERO, is_multiplicative, macll_image, macll_negate,
-                            make_conjunct, parse_category, parse_macll_sequent,
-                            parse_sequent, substitute_primitive)
+                            ZERO, chain_leaves, is_multiplicative, macll_image,
+                            macll_negate, make_conjunct, parse_category,
+                            parse_macll_sequent, parse_sequent, substitute_primitive)
 
 from helpers import indented
 
@@ -401,7 +401,8 @@ def test_macll_agreement_with_two_sided():
     # 576 before the one-sided search forced its invertible rules and keyed
     # rotations by formula numbers
     assert len(cache.table("MACLL")) == 436
-    assert len(cache.table("MALC*")) == 322
+    # 322 before the two-sided left rules were focused on the head
+    assert len(cache.table("MALC*")) == 307
 
 
 def test_l_conservativity():
@@ -916,21 +917,148 @@ def test_two_sided_agrees_with_one_sided_on_arbitrary_sequents(seq):
     assert derivable("MALC*", seq) == macll_derivable(macll_image(seq))
 
 
-def _tree_digest(calculus, seqs) -> str:
-    h = hashlib.sha256()
+# --- head-focused left rules against the unfocused search ------------------
+
+class _UnfocusedTwoSidedSearch(_TwoSidedSearch):
+    """The two-sided search before its left rules were focused on the head:
+    at a primitive succedent every antecedent formula, and every division
+    leaf of an `&`-chain, is tried as principal at every split point."""
+
+    def _expansions(self, goal):
+        ants, succ = goal
+        restricted = self.calculus.lambek_restriction
+        n = len(ants)
+        if n == 1 and ants[0] == succ:
+            yield ("axiom", None, ())
+        # Invertible rules are forced: their premises are equiderivable
+        # with the conclusion, so nothing else needs to be tried.
+        for h in range(n):
+            if isinstance(ants[h], Prod):
+                a = ants[h]
+                yield ("(.->)", h,
+                       ((ants[:h] + (a.left, a.right) + ants[h + 1:], succ),))
+                return
+        if isinstance(succ, LDiv) and not (restricted and n == 0):
+            yield ("(->\\)", None, (((succ.den,) + ants, succ.num),))
+            return
+        if isinstance(succ, RDiv) and not (restricted and n == 0):
+            yield ("(->/)", None, ((ants + (succ.den,), succ.num),))
+            return
+        if isinstance(succ, And):
+            yield ("(->&)", None, ((ants, succ.left), (ants, succ.right)))
+            return
+        for h in range(n):
+            if isinstance(ants[h], Or):
+                a = ants[h]
+                yield ("(+->)", h, ((ants[:h] + (a.left,) + ants[h + 1:], succ),
+                                    (ants[:h] + (a.right,) + ants[h + 1:], succ)))
+                return
+        # choice rules
+        if isinstance(succ, Or):
+            for i, leaf in enumerate(chain_leaves(succ, Or)):
+                yield ("or_right", i, ((ants, leaf),))
+        if isinstance(succ, Prod):
+            for k in range(n + 1):
+                if restricted and (k == 0 or k == n):
+                    continue  # an empty part is underivable anyway
+                yield ("(->.)", k, ((ants[:k], succ.left), (ants[k:], succ.right)))
+        for h in range(n):
+            a = ants[h]
+            if not isinstance(a, And):
+                yield from self._division_left(ants, succ, h, a)
+                continue
+            # Focused (&->): a leaf of the chain is chosen only where it
+            # becomes principal.  "and_left" records (h, leaf index, rule),
+            # its premises are those of that rule, and rule None means the
+            # leaf simply replaces the chain.
+            for i, leaf in enumerate(chain_leaves(a, And)):
+                if isinstance(leaf, Prim):
+                    if n == 1 and leaf == succ:
+                        yield ("and_left", (h, i, "axiom"), ())
+                elif isinstance(leaf, (LDiv, RDiv)):
+                    for rule, _, premises in self._division_left(ants, succ, h, leaf):
+                        yield ("and_left", (h, i, rule), premises)
+                else:
+                    yield ("and_left", (h, i, None),
+                           ((ants[:h] + (leaf,) + ants[h + 1:], succ),))
+
+
+_DIFFERENTIAL_BUDGET = 200_000
+
+
+def _focused_and_unfocused(name, seq):
+    """Both searches' verdicts on `seq` under `name` with fresh caches, or
+    None when either runs out of the budget.  Raises CalculusError where the
+    calculus does not admit the sequent."""
+    reference = _UnfocusedTwoSidedSearch(CALCULI[name], _DIFFERENTIAL_BUDGET, SearchCache())
+    try:
+        return (derivable(name, seq, budget=_DIFFERENTIAL_BUDGET),
+                reference.derivable((seq.antecedent, seq.succedent)))
+    except BudgetError:
+        return None
+
+
+@given(_sequents())
+@settings(max_examples=200, deadline=None)
+def test_head_focus_agrees_with_unfocused_search_on_arbitrary_sequents(seq):
+    """MALC and MALC* admit every sequent, and these shapes stay far inside
+    the budget, so each example decides at least those two."""
+    decided = 0
+    for name in ("L", "L*", "MALC", "MALC*"):
+        try:
+            verdicts = _focused_and_unfocused(name, seq)
+        except CalculusError:
+            continue
+        if verdicts is not None:
+            assert verdicts[0] == verdicts[1], (name, seq)
+            decided += 1
+    assert decided >= 2, seq
+
+
+def test_head_focus_agrees_with_unfocused_search_on_seeded_sequents():
+    """Random sequents with up to 12 connectives and derivable-by-construction
+    pools, seeds 0-3, under all four calculi: 17,656 sequents, of which
+    1,814 are derivable."""
+    decided = derivable_count = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        for name in ("L", "L*", "MALC", "MALC*"):
+            additives = CALCULI[name].additives
+            seqs = [random_sequent(rng, rng.randint(1, 12), additives=additives)
+                    for _ in range(1000)]
+            seqs += derivable_pool(rng, name, steps=300)
+            for seq in seqs:
+                verdicts = _focused_and_unfocused(name, seq)
+                if verdicts is None:
+                    continue
+                assert verdicts[0] == verdicts[1], (name, seq)
+                decided += 1
+                derivable_count += verdicts[0]
+    # budget skips may not hollow the comparison out
+    assert decided >= 17_000 and 1_500 <= derivable_count <= decided - 10_000
+
+
+def _digests(calculus, seqs) -> tuple[str, str]:
+    """Digests of the verdicts and of the proof trees, each query with a
+    fresh cache."""
+    verdicts, trees = hashlib.sha256(), hashlib.sha256()
     for seq in seqs:
         tree = prove(calculus, seq, cache=SearchCache())
-        h.update((indented(tree.to_json()) if tree else "None\n").encode())
-    return h.hexdigest()
+        verdicts.update(b"1" if tree else b"0")
+        trees.update((indented(tree.to_json()) if tree else "None\n").encode())
+    return verdicts.hexdigest(), trees.hexdigest()
 
 
 def test_two_sided_trees_are_golden():
-    """Proof trees and verdicts with a fresh cache each, pinned by digest."""
+    """Verdicts and proof trees with a fresh cache each, pinned by digest.
+    The verdict digests hold across search changes; the tree digests record
+    which proof the search finds first."""
     from conjcat.transforms import ccg_to_malc
     pool = derivable_pool(random.Random(97), "MALC*", steps=1500)
     assert len(pool) == 382
-    assert _tree_digest("MALC*", pool) == \
-        "ff2ac0f2012050a74825b9d6440e7f098f6cd0a67fab9431b53570620b362e48"
+    assert _digests("MALC*", pool) == (
+        "e4e8f0107b5d5335029e2267c5f71a5cc11b3aea70ddb4231fcaa89794f16ef1",
+        "a1d1881ce5dbab726c08e4aa157bb279b04125fcc8e4ed5066f4264fdca35884")
     # criterion 4's lexicon sequents, under the grammar's own calculus
     lam = ccg_to_malc(samples.three_block_ccg())
     words = [w for length in (1, 2, 3, 6)
@@ -938,8 +1066,9 @@ def test_two_sided_trees_are_golden():
     seqs = [Sequent(combo, lam.target) for w in words
             for combo in itertools.product(*(lam.lexicon[ch] for ch in w))]
     assert len(seqs) == 768
-    assert _tree_digest(lam.calculus, seqs) == \
-        "de1fb4e9917cf1557fd303e48a31eefefa137968e33ab52dcc6779f448e4f67b"
+    assert _digests(lam.calculus, seqs) == (
+        "7e362bf2d783e277575978c0a3375e4ba51c6a16755fc45eb0bea7da7e836f33",
+        "e48719e4a134f6be678765a53ffd37a78b43a939972e2e7321b65dcbf8c17b36")
 
 
 # --- grammar membership ------------------------------------------------------
@@ -951,6 +1080,34 @@ def test_lambek_member_three_block():
     assert lambek_member(g, "bacaca", cache=cache)
     assert not lambek_member(g, "cab", cache=cache)
     assert not lambek_member(g, "", cache=cache)  # MALC rejects the empty string
+
+
+def test_lambek_member_agrees_with_the_categorial_engine_at_length():
+    """Criterion 4's embedding checked further than the criterion: every
+    word of length 1-8 with one shared cache, then the members
+    b a^n c a^n c a^n and their near misses b a^n c a^n c a^(n+1) for
+    n = 5..11, each with a fresh cache and a budget of 10**6."""
+    from conjcat.ccg import ccg_member
+    from conjcat.transforms import ccg_to_malc
+    g = samples.three_block_ccg()
+    lam = ccg_to_malc(g)
+    cache = SearchCache()
+    words = ["".join(w) for length in range(1, 9)
+             for w in itertools.product("abc", repeat=length)]
+    assert len(words) == 9_840
+    for w in words:
+        assert lambek_member(lam, w, cache=cache) == ccg_member(g, w), w
+    for n in range(5, 12):
+        member = "b" + "a" * n + "c" + "a" * n + "c" + "a" * n
+        for w in (member, member + "a"):
+            want = w == member
+            assert ccg_member(g, w) == want
+            assert lambek_member(lam, w, budget=10**6) == want, w
+    # a deterministic count in place of a clock: without the head focus
+    # the length-18 member's memo holds 36,557 entries
+    cache = SearchCache()
+    assert lambek_member(lam, "b" + "a" * 5 + "c" + "a" * 5 + "c" + "a" * 5, cache=cache)
+    assert len(cache.table(lam.calculus)) < 1_000
 
 
 def test_lambek_member_epsilon_and_missing_entries():
