@@ -26,26 +26,29 @@ completeness:
   (+->) are single steps: they add one memo entry per chain link and
   measured neutral;
 
-- (&->) is focused (Andreoli 1992): a `&`-chain in the antecedent stays
-  whole until one of its leaves becomes principal.  A division leaf is
-  chosen as the principal formula of (\\->) or (/->), a primitive leaf
-  only for the axiom, and a product or disjunction leaf replaces the
-  chain for the invertible rule that follows.  (&->) permutes below
-  every rule whose principal formula lies elsewhere, so nothing is lost,
-  and the states no longer multiply across chains;
+- the left rules are focused (Andreoli 1992, "Logic programming with
+  focusing proofs in linear logic"; for L, Hepple 1990, "Normal form
+  theorem proving for the Lambek calculus"): once no invertible rule
+  applies, a left rule decomposes one antecedent, a division or an
+  `&`-chain, and the residual premise of (\\->) or (/->) keeps the focus
+  on the numerator.  It is a focused goal `(ants, succ, h)`, whose only
+  expansions are the left rules on ants[h].  An `&`-chain in focus picks
+  one leaf, which stays in focus.  A `.` or `+` numerator or leaf ends
+  the focus, so its residual is an ordinary goal, and a primitive one
+  must close the residual as the axiom `p -> p`, which is decided inline:
+  the denominator takes all the context on the division's side, none may
+  be left on the other, and a division whose primitive numerator cannot
+  close is never focused on.  By focusing completeness some proof of a
+  derivable goal has this shape, and every premise still has fewer
+  connectives than its goal;
 
-- left rules are focused on the head (Andreoli 1992, "Logic programming
-  with focusing proofs in linear logic"; for L, Hepple 1990, "Normal
-  form theorem proving for the Lambek calculus"): at a primitive
-  succedent `p`, (\\->) and (/->) are tried only on a formula, or an
-  `&`-chain leaf, whose head can be `p`.  The head is found by stripping
-  the numerators of `\\` and `/`; a primitive head must be `p`, an `&`
-  matches when either side does, and a `.` or `+` head matches anything.
-  By focusing completeness some proof decomposes, at each goal with a
-  primitive succedent, one formula along its numerators and chosen `&`
-  sides until either the axiom on `p` or a `.`/`+` that ends the focus,
-  so every left rule of that proof passes the test.  At a `.` or `+`
-  succedent nothing is pruned;
+- head sets: the head set of a formula holds the primitives at which a
+  focus on it can end (strip the numerators of `\\` and `/`, join both
+  sides of an `&`), or is "any" when the focus can end at a `.` or `+`.
+  At a primitive succedent `p`, a focus starts only on a formula, and
+  picks only an `&` leaf, whose head set holds `p` or is "any".  A cache
+  keeps each formula's head set, and builds it only at a primitive
+  succedent;
 
 - the one-sided search is focused on its invertible rules: when some
   rotation's head is `top`, a `@`, a `&`, or `bot` beside other
@@ -55,8 +58,8 @@ completeness:
   on goals with no invertible head.  Goals are keyed by the rotation
   with the least tuple of formula numbers (see `SearchCache`).
 
-Returned proof trees re-expand bursts and focused steps into single rule
-applications.
+Returned proof trees re-expand bursts, `&` leaf choices and the axioms
+decided inline into single rule applications.
 
 Memo entries record calculus-level facts, so a cache may be shared
 between calls and across threads; concurrent queries return the same
@@ -88,8 +91,8 @@ _MISS = object()
 
 class SearchCache:
     """Shareable memo tables, keyed by calculus, with the primitive-count
-    intervals, the primitive numbers and the formula numbers that the
-    searches share.
+    intervals, the primitive numbers, the head sets and the formula numbers
+    that the searches share.
 
     The balance check numbers each primitive name the first time it meets
     it, and packs an interval's counts into ints by those numbers.  The
@@ -100,11 +103,13 @@ class SearchCache:
     the cache's history, as memo hits already made it do; derivability
     never does.  Two threads may give two formulas one number, which only
     weakens the sharing of memo entries, or two primitives one number,
-    which only weakens the pruning."""
+    which only weakens the pruning.  A head set depends on its formula
+    alone, so two threads that build one store equal sets."""
 
     def __init__(self):
         self.tables: dict[str, dict] = {}
         self.intervals: dict = {}
+        self.heads: dict = {}
         self.primitive_numbers: dict = {}
         self.formula_numbers: dict = {}
 
@@ -301,9 +306,6 @@ class _Search:
 # Two-sided search
 # ---------------------------------------------------------------------------
 
-_SeqKey = tuple[tuple[Category, ...], Category]
-
-
 def _descend(chain: Category, op: type, i: int, rule: str, place,
              subtree: ProofTree) -> ProofTree:
     """Wrap `subtree`, whose conclusion has leaf `i` of the `op`-chain in
@@ -319,28 +321,70 @@ def _descend(chain: Category, op: type, i: int, rule: str, place,
     return ProofTree(place(chain), rule + step, (child,))
 
 
-def _head_can_be(a: Category, p: Prim) -> bool:
-    """Can a left focus on `a` end at the axiom on `p`, or at a `.` or `+`
-    that ends the focus?  See the head focus in the module docstring."""
-    while isinstance(a, (LDiv, RDiv)):
-        a = a.num
-    if isinstance(a, And):
-        return _head_can_be(a.left, p) or _head_can_be(a.right, p)
-    return not isinstance(a, Prim) or a == p
+def _heads(a: Category, memo: dict) -> Optional[frozenset]:
+    """The head set of `a`: the names of the primitives at which a left
+    focus on `a` can end, or None ("any") when it can also end at a `.` or
+    `+`.  Strip the numerators of `\\` and `/`, and join both sides of an
+    `&`; `memo` keeps the set of every formula and `&` side met."""
+    hit = memo.get(a, _MISS)
+    if hit is not _MISS:
+        return hit
+    head = a
+    while isinstance(head, (LDiv, RDiv)):
+        head = head.num
+    if isinstance(head, Prim):
+        out = frozenset((head.name,))
+    elif isinstance(head, And):
+        left, right = _heads(head.left, memo), _heads(head.right, memo)
+        out = None if left is None or right is None else left | right
+    else:
+        out = None
+    memo[a] = out
+    return out
+
+
+def _may_close(f: Category, i: int, n: int, succ: Category) -> bool:
+    """False when a focus on `f`, at index `i` of `n` antecedents, is
+    stuck: `f` is a division with a primitive numerator, so its residual
+    premise is the axiom `succ -> succ` or nothing, and either the
+    numerator is not `succ` or context is left on the side that the
+    division does not take."""
+    if isinstance(f, LDiv):
+        return not isinstance(f.num, Prim) or (i == n - 1 and f.num == succ)
+    if isinstance(f, RDiv):
+        return not isinstance(f.num, Prim) or (i == 0 and f.num == succ)
+    return True
 
 
 class _TwoSidedSearch(_Search):
-    """Goals are `(antecedents, succedent)` pairs."""
+    """Goals are `(antecedents, succedent)` pairs, and focused goals
+    `(antecedents, succedent, h)` whose only expansions are the left rules
+    with ants[h], a division or an `&`-chain, as principal formula."""
 
     def __init__(self, calculus: Calculus, budget: int, cache: SearchCache):
         super().__init__(calculus.name, budget, cache)
         self.calculus = calculus
+        self.heads = cache.heads
 
     @staticmethod
-    def _balance_terms(goal: _SeqKey):
-        return goal  # the antecedents count, the succedent is subtracted
+    def _balance_terms(goal):
+        # the antecedents count, the succedent is subtracted
+        return goal[0], goal[1]
 
-    def _expansions(self, goal: _SeqKey):
+    def _may_head(self, a: Category, succ: Category) -> bool:
+        """At a primitive succedent, does `a`'s head set allow it?"""
+        if not isinstance(succ, Prim):
+            return True
+        names = self.heads.get(a, _MISS)
+        if names is _MISS:
+            names = _heads(a, self.heads)
+        return names is None or succ.name in names
+
+    def _expansions(self, goal):
+        if len(goal) == 3:
+            ants, succ, h = goal
+            yield from self._focus(ants, succ, h, ants[h])
+            return
         ants, succ = goal
         restricted = self.calculus.lambek_restriction
         n = len(ants)
@@ -378,74 +422,76 @@ class _TwoSidedSearch(_Search):
                 if restricted and (k == 0 or k == n):
                     continue  # an empty part is underivable anyway
                 yield ("(->.)", k, ((ants[:k], succ.left), (ants[k:], succ.right)))
-        # Head focus: at a primitive succedent only a formula whose head can
-        # be that primitive is worth a left rule.
-        focus = succ if isinstance(succ, Prim) else None
+        # Left focus on each division or &-chain; a primitive antecedent
+        # is taken by the axiom above only.
         for h in range(n):
             a = ants[h]
-            if focus is not None and not _head_can_be(a, focus):
-                continue
-            if not isinstance(a, And):
-                yield from self._division_left(ants, succ, h, a)
-                continue
-            # Focused (&->): a leaf of the chain is chosen only where it
-            # becomes principal.  "and_left" records (h, leaf index, rule),
-            # its premises are those of that rule, and rule None means the
-            # leaf simply replaces the chain.
+            if not isinstance(a, Prim) and self._may_head(a, succ):
+                yield from self._focus(ants, succ, h, a)
+
+    def _focus(self, ants, succ, h, a):
+        """The left rules with `a`, a division or an `&`-chain in the place
+        of ants[h], as principal formula.  The residual premise of a
+        division keeps the focus on its numerator, and a chosen `&` leaf
+        stays in focus, unless it is a `.` or `+`, which ends the focus.  A
+        primitive numerator or leaf must close the residual by the axiom,
+        which is decided here, and a focus that `_may_close` finds stuck is
+        never made a goal."""
+        restricted = self.calculus.lambek_restriction
+        n = len(ants)
+        if isinstance(a, And):
             for i, leaf in enumerate(chain_leaves(a, And)):
                 if isinstance(leaf, Prim):
                     if n == 1 and leaf == succ:
-                        yield ("and_left", (h, i, "axiom"), ())
-                elif isinstance(leaf, (LDiv, RDiv)):
-                    if focus is not None and not _head_can_be(leaf, focus):
-                        continue
-                    for rule, _, premises in self._division_left(ants, succ, h, leaf):
-                        yield ("and_left", (h, i, rule), premises)
-                else:
-                    yield ("and_left", (h, i, None),
-                           ((ants[:h] + (leaf,) + ants[h + 1:], succ),))
-
-    def _division_left(self, ants, succ, h, a):
-        """(\\->) or (/->) with `a` as the principal formula in place of
-        ants[h], one expansion per split point."""
-        restricted = self.calculus.lambek_restriction
+                        yield ("(&->)", (h, i), ())
+                    continue
+                rest = ants[:h] + (leaf,) + ants[h + 1:]
+                if isinstance(leaf, (Prod, Or)):
+                    yield ("(&->)", (h, i), ((rest, succ),))
+                elif _may_close(leaf, h, n, succ) and self._may_head(leaf, succ):
+                    yield ("(&->)", (h, i), ((rest, succ, h),))
+            return
+        num, den = a.num, a.den
+        if isinstance(num, Prim):
+            # the denominator takes all the context, the axiom the numerator
+            if _may_close(a, h, n, succ) and not (restricted and n == 1):
+                rule = "(\\->)" if isinstance(a, LDiv) else "(/->)"
+                yield (rule, None, ((ants[:h] + ants[h + 1:], den),))
+            return
+        focused = not isinstance(num, (Prod, Or))
         if isinstance(a, LDiv):
-            for l in range(h + 1):
-                if restricted and l == h:
-                    continue
-                yield ("(\\->)", (h, l),
-                       ((ants[l:h], a.den),
-                        (ants[:l] + (a.num,) + ants[h + 1:], succ)))
-        elif isinstance(a, RDiv):
-            for r in range(h + 1, len(ants) + 1):
-                if restricted and r == h + 1:
-                    continue
-                yield ("(/->)", (h, r),
-                       ((ants[h + 1:r], a.den),
-                        (ants[:h] + (a.num,) + ants[r:], succ)))
+            for l in range(h + 1 - restricted):
+                rest = ants[:l] + (num,) + ants[h + 1:]
+                if not focused:
+                    yield ("(\\->)", None, ((ants[l:h], den), (rest, succ)))
+                elif _may_close(num, l, len(rest), succ):
+                    yield ("(\\->)", None, ((ants[l:h], den), (rest, succ, l)))
+        else:
+            for r in range(h + 1 + restricted, n + 1):
+                rest = ants[:h] + (num,) + ants[r:]
+                if not focused:
+                    yield ("(/->)", None, ((ants[h + 1:r], den), (rest, succ)))
+                elif _may_close(num, h, len(rest), succ):
+                    yield ("(/->)", None, ((ants[h + 1:r], den), (rest, succ, h)))
 
-    # -- proof reconstruction: the or_right burst and the focused and_left
-    # steps descend their chain in single steps down to the chosen leaf ---
+    # -- proof reconstruction: the or_right burst and the chosen & leaf
+    # descend their chain in single steps, and a residual that the axiom
+    # closed inline gets its leaf ---------------------------------------------
 
-    def rebuild(self, goal: _SeqKey) -> ProofTree:
-        ants, succ = goal
+    def rebuild(self, goal) -> ProofTree:
+        ants, succ = goal[0], goal[1]
         rule, data, premises = self.memo[goal]
+        subtrees = tuple(self.rebuild(p) for p in premises)
         if rule == "or_right":
-            return _descend(succ, Or, data, "(->+)", lambda c: Sequent(ants, c),
-                            self.rebuild(premises[0]))
-        if rule == "and_left":
-            h, i, principal = data
-            if principal is None:
-                subtree = self.rebuild(premises[0])
-            else:
-                leaf = chain_leaves(ants[h], And)[i]
-                subtree = ProofTree(Sequent(ants[:h] + (leaf,) + ants[h + 1:], succ),
-                                    principal, tuple(self.rebuild(p) for p in premises))
+            return _descend(succ, Or, data, "(->+)", lambda c: Sequent(ants, c), subtrees[0])
+        if rule == "(&->)":
+            h, i = data
+            leaf = subtrees[0] if subtrees else ProofTree(Sequent((succ,), succ), "axiom")
             return _descend(ants[h], And, i, "(&->)",
-                            lambda c: Sequent(ants[:h] + (c,) + ants[h + 1:], succ),
-                            subtree)
-        return ProofTree(Sequent(ants, succ), rule,
-                         tuple(self.rebuild(p) for p in premises))
+                            lambda c: Sequent(ants[:h] + (c,) + ants[h + 1:], succ), leaf)
+        if len(subtrees) == 1 and rule in ("(\\->)", "(/->)"):
+            subtrees += (ProofTree(Sequent((succ,), succ), "axiom"),)
+        return ProofTree(Sequent(ants, succ), rule, subtrees)
 
 
 def _resolve_calculus(calculus: Union[str, Calculus]) -> Calculus:

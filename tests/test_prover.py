@@ -401,8 +401,9 @@ def test_macll_agreement_with_two_sided():
     # 576 before the one-sided search forced its invertible rules and keyed
     # rotations by formula numbers
     assert len(cache.table("MACLL")) == 436
-    # 322 before the two-sided left rules were focused on the head
-    assert len(cache.table("MALC*")) == 307
+    # 322 before the two-sided left rules were focused on the head, 307
+    # before they were fully focused
+    assert len(cache.table("MALC*")) == 309
 
 
 def test_l_conservativity():
@@ -656,25 +657,35 @@ def _formulas():
 
 
 def _two_sided_size(goal):
-    return Sequent(*goal).size
+    return Sequent(goal[0], goal[1]).size
 
 
 def _one_sided_size(goal):
     return MacllSequent(goal).size
 
 
+def _walk_label(rule, premises):
+    """A two-sided left rule's name with how its last premise goes on:
+    " axiom" when the axiom closed it inline, " focus" when it is a
+    focused goal, nothing when it is an ordinary goal."""
+    if rule not in ("(\\->)", "(/->)", "(&->)"):
+        return rule
+    if len(premises) < (1 if rule == "(&->)" else 2):
+        return rule + " axiom"
+    return rule + (" focus" if len(premises[-1]) == 3 else "")
+
+
 def _walk_expansions(search, root, size):
     """Every goal reachable from `root` through `_expansions` (up to 2,000
     goals), asserting that each premise has strictly fewer connectives than
-    its goal.  Returns the rules met; an `and_left` counts under the rule
-    its chosen leaf takes."""
+    its goal.  Returns the rules met, labelled by `_walk_label`."""
     rules = set()
     root = search.canonical(root)
     seen, stack = {root}, [root]
     while stack and len(seen) < 2_000:
         goal = stack.pop()
         for rule, data, premises in search._expansions(goal):
-            rules.add(f"and_left {data[2]}" if rule == "and_left" else rule)
+            rules.add(_walk_label(rule, premises))
             for premise in premises:
                 assert size(premise) < size(goal), (goal, rule, premise)
                 premise = search.canonical(premise)
@@ -724,9 +735,10 @@ def test_premise_size_walk_meets_every_rule():
         rules |= _walk_expansions(search, random_macll_sequent(rng).formulas,
                                   _one_sided_size)
     assert rules == {"axiom", "(.->)", "(->\\)", "(->/)", "(->&)", "(+->)", "or_right",
-                     "(->.)", "(\\->)", "(/->)", "and_left axiom", "and_left (\\->)",
-                     "and_left (/->)", "and_left None", "(top)", "(bot)", "(par)",
-                     "(with)", "(1)", "(plus)_1", "(plus)_2", "(times)"}
+                     "(->.)", "(\\->)", "(\\->) focus", "(\\->) axiom", "(/->)",
+                     "(/->) focus", "(/->) axiom", "(&->)", "(&->) focus", "(&->) axiom",
+                     "(top)", "(bot)", "(par)", "(with)", "(1)", "(plus)_1", "(plus)_2",
+                     "(times)"}
 
 
 @functools.cache
@@ -776,7 +788,7 @@ def _reference_balanced(search, goal) -> bool:
     if isinstance(search, _MacllSearch):
         terms = [_reference_interval(f) for f in goal]
     else:
-        ants, succ = goal
+        ants, succ = goal[0], goal[1]  # a focused goal's index counts nothing
         terms = [_reference_interval(c) for c in ants]
         terms.append(_reference_negated(_reference_interval(succ)))
     if None in terms:
@@ -917,12 +929,14 @@ def test_two_sided_agrees_with_one_sided_on_arbitrary_sequents(seq):
     assert derivable("MALC*", seq) == macll_derivable(macll_image(seq))
 
 
-# --- head-focused left rules against the unfocused search ------------------
+# --- focused left rules against the unfocused search -----------------------
 
 class _UnfocusedTwoSidedSearch(_TwoSidedSearch):
-    """The two-sided search before its left rules were focused on the head:
-    at a primitive succedent every antecedent formula, and every division
-    leaf of an `&`-chain, is tried as principal at every split point."""
+    """The two-sided search before its left rules were focused: at every
+    goal every antecedent formula, and every division leaf of an
+    `&`-chain, is tried as principal at every split point, and a residual
+    premise is an ordinary goal.  It answers `derivable` only: `rebuild`
+    does not read its `and_left` memo data."""
 
     def _expansions(self, goal):
         ants, succ = goal
@@ -981,6 +995,25 @@ class _UnfocusedTwoSidedSearch(_TwoSidedSearch):
                 else:
                     yield ("and_left", (h, i, None),
                            ((ants[:h] + (leaf,) + ants[h + 1:], succ),))
+
+    def _division_left(self, ants, succ, h, a):
+        """(\\->) or (/->) with `a` as the principal formula in place of
+        ants[h], one expansion per split point."""
+        restricted = self.calculus.lambek_restriction
+        if isinstance(a, LDiv):
+            for l in range(h + 1):
+                if restricted and l == h:
+                    continue
+                yield ("(\\->)", (h, l),
+                       ((ants[l:h], a.den),
+                        (ants[:l] + (a.num,) + ants[h + 1:], succ)))
+        elif isinstance(a, RDiv):
+            for r in range(h + 1, len(ants) + 1):
+                if restricted and r == h + 1:
+                    continue
+                yield ("(/->)", (h, r),
+                       ((ants[h + 1:r], a.den),
+                        (ants[:h] + (a.num,) + ants[r:], succ)))
 
 
 _DIFFERENTIAL_BUDGET = 200_000
@@ -1058,7 +1091,7 @@ def test_two_sided_trees_are_golden():
     assert len(pool) == 382
     assert _digests("MALC*", pool) == (
         "e4e8f0107b5d5335029e2267c5f71a5cc11b3aea70ddb4231fcaa89794f16ef1",
-        "a1d1881ce5dbab726c08e4aa157bb279b04125fcc8e4ed5066f4264fdca35884")
+        "da50bc7f62904981c736e0844bb885f7b88228fc6c5b4b05e7b6a74561104571")
     # criterion 4's lexicon sequents, under the grammar's own calculus
     lam = ccg_to_malc(samples.three_block_ccg())
     words = [w for length in (1, 2, 3, 6)
@@ -1082,11 +1115,16 @@ def test_lambek_member_three_block():
     assert not lambek_member(g, "", cache=cache)  # MALC rejects the empty string
 
 
+def _three_blocks(n: int) -> str:
+    return "b" + "a" * n + "c" + "a" * n + "c" + "a" * n
+
+
 def test_lambek_member_agrees_with_the_categorial_engine_at_length():
     """Criterion 4's embedding checked further than the criterion: every
     word of length 1-8 with one shared cache, then the members
     b a^n c a^n c a^n and their near misses b a^n c a^n c a^(n+1) for
-    n = 5..11, each with a fresh cache and a budget of 10**6."""
+    n = 5..11 and n = 33 (length 102), each with a fresh cache and a
+    budget of 10**6."""
     from conjcat.ccg import ccg_member
     from conjcat.transforms import ccg_to_malc
     g = samples.three_block_ccg()
@@ -1097,17 +1135,37 @@ def test_lambek_member_agrees_with_the_categorial_engine_at_length():
     assert len(words) == 9_840
     for w in words:
         assert lambek_member(lam, w, cache=cache) == ccg_member(g, w), w
-    for n in range(5, 12):
-        member = "b" + "a" * n + "c" + "a" * n + "c" + "a" * n
+    for n in [*range(5, 12), 33]:
+        member = _three_blocks(n)
         for w in (member, member + "a"):
             want = w == member
             assert ccg_member(g, w) == want
             assert lambek_member(lam, w, budget=10**6) == want, w
-    # a deterministic count in place of a clock: without the head focus
-    # the length-18 member's memo holds 36,557 entries
+    # deterministic counts in place of a clock: the length-18 member's memo
+    # held 36,557 entries before the head focus, and the length-102
+    # member's 7,464 before full focusing
+    for n, bound in ((5, 1_000), (33, 3_000)):
+        cache = SearchCache()
+        assert lambek_member(lam, _three_blocks(n), cache=cache)
+        assert len(cache.table(lam.calculus)) < bound, n
+
+
+def test_lambek_member_on_the_empty_string_grammar_at_length():
+    """Criterion 5's grammar, whose lexicon substitutes the empty-string
+    category into every entry: the members b a^n c a^n c a^n and their
+    near misses b a^n c a^n c a^(n+1) for n = 5..8, each with a fresh
+    cache and a budget of 10**6, against the closed form."""
+    from conjcat.transforms import add_empty_string, bundle_to_ccg, ccg_to_malc
+    emp = add_empty_string(ccg_to_malc(bundle_to_ccg(samples.three_block_bundle())))
+    for n in range(5, 9):
+        member = _three_blocks(n)
+        assert lambek_member(emp, member, budget=10**6), member
+        assert not lambek_member(emp, member + "a", budget=10**6), member
+    # a deterministic count in place of a clock: the length-18 member's
+    # memo held 73,884 entries before full focusing
     cache = SearchCache()
-    assert lambek_member(lam, "b" + "a" * 5 + "c" + "a" * 5 + "c" + "a" * 5, cache=cache)
-    assert len(cache.table(lam.calculus)) < 1_000
+    assert lambek_member(emp, _three_blocks(5), cache=cache)
+    assert len(cache.table(emp.calculus)) < 5_000
 
 
 def test_lambek_member_epsilon_and_missing_entries():
@@ -1132,13 +1190,17 @@ def test_lambek_enumerate():
 
 def test_shared_cache_thread_safety():
     """Both searches on one cache from many threads, switching often: the
-    memo tables, the primitive numbers and the one-sided search's formula
-    numbers are shared."""
+    memo tables, the primitive numbers, the head sets and the one-sided
+    search's formula numbers are shared."""
     g_cache = SearchCache()
     seqs = [random_sequent(random.Random(i), 6) for i in range(40)]
     # primitives that no thread has numbered yet, met by many at once
     seqs += [random_sequent(random.Random(i), 6, atoms=("p", f"a{i % 4}", f"b{i}"))
              for i in range(40, 70)]
+    # &-chains at primitive succedents, whose head sets many build at once
+    for i in range(70, 100):
+        rng = random.Random(i)
+        seqs.append(Sequent(_chain_sequent(rng).antecedent, rng.choice([p, q, r])))
     expected = [derivable("MALC*", sq) for sq in seqs]
     results = {}
 
@@ -1159,3 +1221,4 @@ def test_shared_cache_thread_safety():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results[i] for i in range(len(seqs))] == [(e, e) for e in expected]
+    assert len(g_cache.heads) >= 100
