@@ -50,16 +50,26 @@ completeness:
   keeps each formula's head set, and builds it only at a primitive
   succedent;
 
-- the one-sided search is focused on its invertible rules: when some
-  rotation's head is `top`, a `@`, a `&`, or `bot` beside other
-  formulas, that rule on the first such rotation is the only expansion
-  after the axiom test, since its premises are equiderivable with the
-  conclusion.  The choice rules (1), (plus) and (times) are tried only
-  on goals with no invertible head.  Goals are keyed by the rotation
-  with the least tuple of formula numbers (see `SearchCache`).
+- the one-sided search is focused as well.  When some rotation's head
+  is `top`, a `@`, a `&`, or `bot` beside other formulas, that rule on
+  the first such rotation is the only expansion after the axiom test,
+  since its premises are equiderivable with the conclusion.  A goal with
+  no invertible head tries (1) and a focus on each `*` or `+` formula in
+  turn.  (plus) and (times) keep a positive subformula, a `*`, `+`, `1`,
+  `0` or an unnegated atom, in focus: a `*` or `+` in a focused goal
+  `(formulas,)` with it at the head, while an atom must close as the
+  axiom with its dual alone and `1` as (1) alone, both decided inline,
+  and `0` is stuck.  So an atom or `1` in focus fixes the split of
+  (times).  A negative subformula, a `@`, `&`, `bot`, `top` or negated
+  atom, ends the focus, and its premise is an ordinary goal.  Ordinary
+  goals are keyed by the rotation with the least tuple of formula
+  numbers (see `SearchCache`), focused goals, whose rotation the focus
+  fixes, by themselves.
 
 Returned proof trees re-expand bursts, `&` leaf choices and the axioms
-decided inline into single rule applications.
+decided inline into single rule applications, and the one-sided search's
+inline closures into `axiom` and (1) leaves, with a (cycle) step wherever a
+rule works on another rotation than its conclusion's.
 
 Memo entries record calculus-level facts, so a cache may be shared
 between calls and across threads; concurrent queries return the same
@@ -77,7 +87,7 @@ from .errors import BudgetError, CalculusError, UndeclaredSymbolError
 from .grammars import CALCULI, Calculus, LambekGrammar
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv, MacllSequent,
                      ONE, Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP, Times,
-                     With, chain_leaves, inference, is_multiplicative, macll_dual,
+                     With, ZERO, chain_leaves, inference, is_multiplicative, macll_dual,
                      macll_sequent_latex, separated, sequent_latex, tree_pieces)
 
 DEFAULT_BUDGET = 10_000_000
@@ -213,16 +223,18 @@ def _interval(node: Union[Category, Formula], memo: dict,
 
 
 def _hull(a: int, b: int, pick) -> int:
-    """The packed vector of `pick` applied field by field to `a` and `b`."""
-    out = shift = 0
-    while a or b:
-        x = ((a + _HALF) & _FIELD) - _HALF
-        y = ((b + _HALF) & _FIELD) - _HALF
-        out += pick(x, y) << shift
-        a = (a - x) >> _WIDTH
-        b = (b - y) >> _WIDTH
-        shift += _WIDTH
-    return out
+    """The packed vector of `pick`, min or max, applied field by field to
+    `a` and `b`, in a few whole-int operations.  Biased by _HALF per field,
+    the difference a - b has no borrows between fields, and a field's top
+    bit is set exactly where a's count is at least b's; that bit times
+    _FIELD masks the fields where min takes b's count and max a's."""
+    fields = max(a.bit_length(), b.bit_length()) // _WIDTH + 1
+    tops = _field_tops(fields)
+    biased = a - b + tops
+    mask = ((biased & tops) >> (_WIDTH - 1)) * _FIELD
+    # the difference a - b in the masked fields, 0 in the others
+    diff = (biased & mask) - (tops & mask)
+    return a - diff if pick is min else b + diff
 
 
 @functools.cache
@@ -550,26 +562,53 @@ def categories_equivalent(calculus: Union[str, Calculus], a: Category, b: Catego
 # One-sided cyclic search
 # ---------------------------------------------------------------------------
 
-class _MacllSearch(_Search):
-    """Goals are formula sequences, keyed by their canonical rotation.
+# How a focus goes on at the subformula that a synchronous rule puts in
+# focus (see `_role`)
+_FOCUS, _RELEASE, _AXIOM, _ONE, _STUCK = range(5)
 
-    The invertible rules, (top), (par), (with) and (bot) in a context, are
-    forced: the first rotation whose head one of them decomposes is the
-    only expansion tried.  Only (1), (plus) and (times) are chosen."""
+
+def _role(f: Formula) -> int:
+    """What a focus does when it reaches `f`.  A positive formula stays in
+    focus: `*` and `+` go on (_FOCUS), an unnegated atom must close as the
+    axiom with its dual and nothing else (_AXIOM), `1` must close alone
+    (_ONE), and `0` is stuck (_STUCK).  A negative one, `@`, `&`, `bot`,
+    `top` or a negated atom, ends the focus (_RELEASE)."""
+    kind = type(f)
+    if kind is Atom:
+        return _RELEASE if f.negated else _AXIOM
+    if kind is Const:
+        return _ONE if f is ONE else _STUCK if f is ZERO else _RELEASE
+    return _FOCUS if kind is Times or kind is Plus else _RELEASE
+
+
+class _MacllSearch(_Search):
+    """Goals are formula sequences, keyed by their canonical rotation, and
+    focused goals `(formulas,)`, a formula sequence wrapped in a 1-tuple,
+    whose head formulas[0] is in focus.  The focus fixes the rotation, so a
+    focused goal is its own key.
+
+    After the identity axiom, the invertible rules, (top), (par), (with)
+    and (bot) in a context, are forced: the first rotation whose head one
+    of them decomposes is the only expansion tried.  Once no invertible
+    head is left, a goal tries (1) and a focus on each `*` or `+` formula
+    in turn: the synchronous rule on it, whose premises go on as `_role`
+    says.  An axiom or (1) that closes a premise is decided inline and
+    never becomes a goal."""
 
     def __init__(self, budget: int, cache: SearchCache):
         super().__init__("MACLL", budget, cache)
         self.numbers = cache.formula_numbers
 
     @staticmethod
-    def _balance_terms(formulas: tuple[Formula, ...]):
-        return formulas, None
+    def _balance_terms(goal):
+        return (goal[0] if goal[0].__class__ is tuple else goal), None
 
     def canonical(self, formulas: tuple[Formula, ...]) -> tuple[Formula, ...]:
         """The rotation with the least tuple of formula numbers; rotation
         never changes derivability, so one representative stands for the
         whole orbit.  Whole rotations are compared only when the least
-        number occurs more than once."""
+        number occurs more than once.  A focused goal is a 1-tuple, so it
+        is returned as it is."""
         n = len(formulas)
         if n == 1:
             return formulas
@@ -582,7 +621,13 @@ class _MacllSearch(_Search):
                        key=lambda i: keys[i:] + keys[:i])
         return formulas[best:] + formulas[:best] if best else formulas
 
-    def _expansions(self, seq: tuple[Formula, ...]):
+    def _expansions(self, seq):
+        if seq[0].__class__ is tuple:
+            # a focused goal: its head is a `*` or `+` and the rest holds
+            # only positive formulas and negated atoms, so neither the
+            # axiom nor an invertible rule applies
+            yield from self._focus(seq[0])
+            return
         n = len(seq)
         if n == 2 and macll_dual(seq[0], seq[1]):
             yield ("axiom", seq, ())
@@ -604,26 +649,117 @@ class _MacllSearch(_Search):
                 return
         if n == 1 and seq[0] is ONE:
             yield ("(1)", seq, ())
+        # By focusing completeness some proof of a derivable goal with no
+        # invertible head starts with a focus on a `*` or `+` formula.
         for i, head in enumerate(seq):
-            if isinstance(head, Plus):
-                rest = seq[i + 1:] + seq[:i]
-                rot = (head,) + rest
-                yield ("(plus)_1", rot, ((head.left,) + rest,))
-                yield ("(plus)_2", rot, ((head.right,) + rest,))
-            elif isinstance(head, Times):
-                rot = seq[i:] + seq[:i]
-                for t in range(n):
-                    yield ("(times)", rot,
-                           (rot[t + 1:] + (head.left,), (head.right,) + rot[1:t + 1]))
+            if isinstance(head, (Times, Plus)):
+                yield from self._focus(seq[i:] + seq[:i])
 
-    def rebuild(self, formulas: tuple[Formula, ...]) -> ProofTree:
-        key = self.canonical(formulas)
-        rule, rotated, premises = self.memo[key]
-        node = ProofTree(MacllSequent(rotated), rule,
-                         tuple(self.rebuild(p) for p in premises))
+    @staticmethod
+    def _focus(rot):
+        """The synchronous rule on rot[0], a `*` or `+` in focus.  The
+        premise of a subformula that stays in focus is the focused goal
+        with it at the head, that of one that ends the focus is the
+        ordinary goal that the rule gives, and one that must close does so
+        here or the expansion is dropped: an atom closes only beside its
+        dual alone, so it fixes the split of (times), and `1` only alone."""
+        head, rest = rot[0], rot[1:]
+        a, b = head.left, head.right
+        if type(head) is Plus:
+            for rule, side in (("(plus)_1", a), ("(plus)_2", b)):
+                role = _role(side)
+                premise = (side,) + rest
+                if role == _FOCUS:
+                    yield (rule, rot, ((premise,),))
+                elif role == _RELEASE:
+                    yield (rule, rot, (premise,))
+                elif (role == _AXIOM and len(rest) == 1 and macll_dual(side, rest[0])
+                      or role == _ONE and not rest):
+                    yield (rule, rot, ())
+            return
+        # (times): a takes rest[t:], b takes rest[:t]
+        role_a, role_b = _role(a), _role(b)
+        if role_a == _STUCK or role_b == _STUCK:
+            return
+        m = len(rest)
+        lo, hi = 0, m
+        if role_a == _AXIOM:
+            if not (m and macll_dual(a, rest[-1])):
+                return
+            lo = hi = m - 1
+        elif role_a == _ONE:
+            lo = m
+        if role_b == _AXIOM:
+            if not (lo <= 1 <= hi and macll_dual(b, rest[0])):
+                return
+            lo = hi = 1
+        elif role_b == _ONE:
+            if lo:
+                return
+            hi = 0
+        for t in range(lo, hi + 1):
+            premises = ()
+            if role_a == _FOCUS:
+                premises = (((a,) + rest[t:],),)
+            elif role_a == _RELEASE:
+                premises = (rest[t:] + (a,),)
+            if role_b == _FOCUS:
+                premises += (((b,) + rest[:t],),)
+            elif role_b == _RELEASE:
+                premises += ((b,) + rest[:t],)
+            yield ("(times)", rot, premises)
+
+    # -- proof reconstruction: a premise that was a focused goal or closed
+    # inline gets the sequent that its rule gives -----------------------------
+
+    def rebuild(self, goal) -> ProofTree:
+        """The proof of an ordinary goal, concluding its formulas, or of a
+        focused goal, concluding the formulas it wraps.  Where the rule
+        works on another rotation, a (cycle) step leads to it."""
+        focused = goal[0].__class__ is tuple
+        formulas = goal[0] if focused else goal
+        rule, rotated, premises = self.memo[goal if focused else self.canonical(goal)]
+        if rule in ("(plus)_1", "(plus)_2", "(times)"):
+            subtrees = self._synchronous_subtrees(rule, rotated, premises)
+        else:
+            subtrees = tuple(self.rebuild(p) for p in premises)
+        node = ProofTree(MacllSequent(rotated), rule, subtrees)
         if rotated != formulas:
             node = ProofTree(MacllSequent(formulas), "(cycle)", (node,))
         return node
+
+    def _synchronous_subtrees(self, rule, rot, premises) -> tuple:
+        """The premise trees of (plus) or (times) on rot[0], each
+        concluding the sequent that the rule gives: a premise closed
+        inline is an `axiom` or (1) leaf, and one that was a focused goal
+        with its subformula at the head gets a (cycle) step where the rule
+        puts that subformula last.  The split of (times) is read off the
+        second premise."""
+        head, rest = rot[0], rot[1:]
+        if rule == "(times)":
+            a, b = head.left, head.right
+            role_b = _role(b)
+            if role_b == _AXIOM or role_b == _ONE:
+                t = 1 if role_b == _AXIOM else 0
+            else:
+                last = premises[-1]
+                t = len(last[0] if last[0].__class__ is tuple else last) - 1
+            wanted = ((a, rest[t:] + (a,)), (b, (b,) + rest[:t]))
+        else:
+            side = head.left if rule == "(plus)_1" else head.right
+            wanted = ((side, (side,) + rest),)
+        goals = iter(premises)
+        subtrees = []
+        for sub, formulas in wanted:
+            role = _role(sub)
+            if role == _AXIOM or role == _ONE:
+                tree = ProofTree(MacllSequent(formulas), "axiom" if role == _AXIOM else "(1)")
+            else:
+                tree = self.rebuild(next(goals))
+                if tree.conclusion.formulas != formulas:
+                    tree = ProofTree(MacllSequent(formulas), "(cycle)", (tree,))
+            subtrees.append(tree)
+        return tuple(subtrees)
 
 
 def macll_derivable(s: MacllSequent, budget: int = DEFAULT_BUDGET,

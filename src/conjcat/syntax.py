@@ -472,6 +472,11 @@ class _Syntax:
         self.latex_ops = {node: latex for level in table for _, node, latex in level}
 
 
+def _found(tok: Optional[str]) -> str:
+    """A token as a parse error names it; None is the end of input."""
+    return "end of input" if tok is None else repr(tok)
+
+
 class _Parser:
     """Recursive descent over the tokens of `text` in one syntax.
 
@@ -527,7 +532,7 @@ class _Parser:
 
     def expect(self, tok: str):
         if self.tok != tok:
-            raise ParseError(f"expected {tok!r}, found {self.tok!r}", self.pos())
+            raise ParseError(f"expected {tok!r}, found {_found(self.tok)}", self.pos())
         self.next()
 
     def done(self):
@@ -610,7 +615,7 @@ def _category_leaf(ts: _Parser) -> Prim:
     leaf = ts.leaves.get(tok)
     if leaf is None:
         if tok is None or not tok.isidentifier():
-            raise ParseError(f"expected a category, found {tok!r}", ts.pos())
+            raise ParseError(f"expected a category, found {_found(tok)}", ts.pos())
         leaf = ts.leaves[tok] = Prim(tok)
     ts.next()
     return leaf
@@ -635,7 +640,7 @@ def _formula_leaf(ts: _Parser) -> Formula:
         ts.next()
         name = ts.next()
         if not name.isidentifier() or name in _MACLL_RESERVED:
-            raise ParseError(f"expected an atom after '~', found {name!r}",
+            raise ParseError(f"expected an atom after '~', found {_found(name)}",
                              ts.pos(ts.index - 1))
         return Atom(name, negated=True)
     if tok in _CONSTANTS:
@@ -644,7 +649,7 @@ def _formula_leaf(ts: _Parser) -> Formula:
     if tok is not None and tok.isidentifier():
         ts.next()
         return Atom(tok)
-    raise ParseError(f"expected a formula, found {tok!r}", ts.pos())
+    raise ParseError(f"expected a formula, found {_found(tok)}", ts.pos())
 
 
 def _formula_leaf_text(f: Formula) -> str:
@@ -732,7 +737,7 @@ def parse_sequent(text: str) -> Sequent:
             if tok == "->":
                 break
             if tok != ",":
-                raise ParseError(f"expected ',' or '->', found {tok!r}", ts.pos())
+                raise ParseError(f"expected ',' or '->', found {_found(tok)}", ts.pos())
     else:
         ts.next()
     succedent = ts.parse()

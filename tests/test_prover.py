@@ -17,14 +17,15 @@ from conjcat.errors import BudgetError, CalculusError
 from conjcat.fuzz import (conjunction_goals, derivable_pool, random_category,
                           random_sequent)
 from conjcat.grammars import CALCULI, lambek_grammar
-from conjcat.prover import (ProofTree, SearchCache, _MacllSearch, _TwoSidedSearch,
-                            _WIDTH, _interval, categories_equivalent, derivable,
+from conjcat.prover import (ProofTree, SearchCache, _FIELD, _HALF, _MacllSearch,
+                            _TwoSidedSearch, _WIDTH, _hull, _interval,
+                            categories_equivalent, derivable,
                             lambek_enumerate, lambek_member, macll_derivable, prove,
                             prove_macll)
 from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
-                            ZERO, chain_leaves, is_multiplicative, macll_image,
-                            macll_negate, make_conjunct, parse_category,
+                            ZERO, chain_leaves, is_multiplicative, macll_dual,
+                            macll_image, macll_negate, make_conjunct, parse_category,
                             parse_macll_sequent, parse_sequent, substitute_primitive)
 
 from helpers import indented
@@ -271,6 +272,47 @@ class _UnforcedMacllSearch(_MacllSearch):
                            (rot[t + 1:] + (head.left,), (head.right,) + rot[1:t + 1]))
 
 
+class _UnfocusedMacllSearch(_MacllSearch):
+    """The one-sided search before its synchronous rules were focused: the
+    invertible rules forced as in the prover, then (1), and (plus) and
+    (times) on every rotation and, for (times), every split.  It answers
+    `derivable` only."""
+
+    def _expansions(self, seq):
+        n = len(seq)
+        if n == 2 and macll_dual(seq[0], seq[1]):
+            yield ("axiom", seq, ())
+            return
+        # Invertible rules are forced: their premises are equiderivable
+        # with the conclusion, so nothing else needs to be tried.
+        for i, head in enumerate(seq):
+            if head is TOP or (head is BOT and n >= 2) or isinstance(head, (Par, With)):
+                rot = seq[i:] + seq[:i]
+                rest = rot[1:]
+                if head is TOP:
+                    yield ("(top)", rot, ())
+                elif head is BOT:
+                    yield ("(bot)", rot, (rest,))
+                elif isinstance(head, Par):
+                    yield ("(par)", rot, ((head.left, head.right) + rest,))
+                else:
+                    yield ("(with)", rot, ((head.left,) + rest, (head.right,) + rest))
+                return
+        if n == 1 and seq[0] is ONE:
+            yield ("(1)", seq, ())
+        for i, head in enumerate(seq):
+            if isinstance(head, Plus):
+                rest = seq[i + 1:] + seq[:i]
+                rot = (head,) + rest
+                yield ("(plus)_1", rot, ((head.left,) + rest,))
+                yield ("(plus)_2", rot, ((head.right,) + rest,))
+            elif isinstance(head, Times):
+                rot = seq[i:] + seq[:i]
+                for t in range(n):
+                    yield ("(times)", rot,
+                           (rot[t + 1:] + (head.left,), (head.right,) + rot[1:t + 1]))
+
+
 _FORMULA_LEAVES = (Atom("p"), Atom("p", True), Atom("q"), Atom("q", True),
                    Atom("p"), Atom("p", True), Atom("q"), Atom("q", True),
                    ONE, BOT, TOP, ZERO)
@@ -399,8 +441,9 @@ def test_macll_agreement_with_two_sided():
             disagreements.append(seq)
     assert not disagreements
     # 576 before the one-sided search forced its invertible rules and keyed
-    # rotations by formula numbers
-    assert len(cache.table("MACLL")) == 436
+    # rotations by formula numbers, 436 before its synchronous rules were
+    # focused
+    assert len(cache.table("MACLL")) == 352
     # 322 before the two-sided left rules were focused on the head, 307
     # before they were fully focused
     assert len(cache.table("MALC*")) == 309
@@ -660,14 +703,35 @@ def _two_sided_size(goal):
     return Sequent(goal[0], goal[1]).size
 
 
+def _one_sided_formulas(goal):
+    """The formulas of a one-sided goal, unwrapping a focused goal."""
+    return goal[0] if isinstance(goal[0], tuple) else goal
+
+
 def _one_sided_size(goal):
-    return MacllSequent(goal).size
+    return MacllSequent(_one_sided_formulas(goal)).size
 
 
-def _walk_label(rule, premises):
+def _in_focus(f) -> str:
+    """How a focus on the one-sided formula `f` goes on."""
+    if isinstance(f, (Times, Plus)):
+        return "focus"
+    if isinstance(f, Atom) and not f.negated:
+        return "axiom"
+    return "(1)" if f is ONE else "release"
+
+
+def _walk_label(rule, data, premises):
     """A two-sided left rule's name with how its last premise goes on:
     " axiom" when the axiom closed it inline, " focus" when it is a
-    focused goal, nothing when it is an ordinary goal."""
+    focused goal, nothing when it is an ordinary goal.  A one-sided
+    synchronous rule's name with how each subformula it puts in focus goes
+    on (`_in_focus`)."""
+    if rule in ("(plus)_1", "(plus)_2", "(times)"):
+        head = data[0]
+        subs = {"(plus)_1": [head.left], "(plus)_2": [head.right],
+                "(times)": [head.left, head.right]}[rule]
+        return f"{rule} {'/'.join(map(_in_focus, subs))}"
     if rule not in ("(\\->)", "(/->)", "(&->)"):
         return rule
     if len(premises) < (1 if rule == "(&->)" else 2):
@@ -685,7 +749,7 @@ def _walk_expansions(search, root, size):
     while stack and len(seen) < 2_000:
         goal = stack.pop()
         for rule, data, premises in search._expansions(goal):
-            rules.add(_walk_label(rule, premises))
+            rules.add(_walk_label(rule, data, premises))
             for premise in premises:
                 assert size(premise) < size(goal), (goal, rule, premise)
                 premise = search.canonical(premise)
@@ -731,14 +795,21 @@ def test_premise_size_walk_meets_every_rule():
     for _ in range(300):
         rules |= _premises_lose_a_connective(random_sequent(rng, rng.randint(1, 8)))
     search = _MacllSearch(0, SearchCache())
-    for _ in range(300):
-        rules |= _walk_expansions(search, random_macll_sequent(rng).formulas,
-                                  _one_sided_size)
+    # (times) splits that both closing subformulas fix, which random
+    # sequents seldom reach
+    closing = ["|- 1*1", "|- 1*p, ~p", "|- p*1, ~p", "|- p*q, ~q, ~p",
+               "|- 1*(p+q), ~p", "|- (p+q)*1, ~p"]
+    for seq in [random_macll_sequent(rng) for _ in range(300)] + list(
+            map(parse_macll_sequent, closing)):
+        rules |= _walk_expansions(search, seq.formulas, _one_sided_size)
+    synchronous = {f"(plus)_{i} {how}" for i in (1, 2)
+                   for how in ("focus", "release", "axiom", "(1)")}
+    synchronous |= {f"(times) {a}/{b}" for a in ("focus", "release", "axiom", "(1)")
+                    for b in ("focus", "release", "axiom", "(1)")}
     assert rules == {"axiom", "(.->)", "(->\\)", "(->/)", "(->&)", "(+->)", "or_right",
                      "(->.)", "(\\->)", "(\\->) focus", "(\\->) axiom", "(/->)",
                      "(/->) focus", "(/->) axiom", "(&->)", "(&->) focus", "(&->) axiom",
-                     "(top)", "(bot)", "(par)", "(with)", "(1)", "(plus)_1", "(plus)_2",
-                     "(times)"}
+                     "(top)", "(bot)", "(par)", "(with)", "(1)", *synchronous}
 
 
 @functools.cache
@@ -786,7 +857,7 @@ def _reference_balanced(search, goal) -> bool:
     """The balance check per primitive name: the counted terms' intervals
     summed, less the succedent's, and zero inside every sum."""
     if isinstance(search, _MacllSearch):
-        terms = [_reference_interval(f) for f in goal]
+        terms = [_reference_interval(f) for f in _one_sided_formulas(goal)]
     else:
         ants, succ = goal[0], goal[1]  # a focused goal's index counts nothing
         terms = [_reference_interval(c) for c in ants]
@@ -807,7 +878,7 @@ class _CheckedBalance:
         self.checks += 1
         self.prunes += not got
         self.tops += isinstance(self, _MacllSearch) and any(
-            _reference_interval(f) is None for f in goal)
+            _reference_interval(f) is None for f in _one_sided_formulas(goal))
         return got
 
 
@@ -849,9 +920,9 @@ def test_balance_check_agrees_as_a_shared_numbering_grows():
     memoized."""
     from conjcat.transforms import add_empty_string, bundle_to_ccg, ccg_to_malc
     rng = random.Random(107)
-    seqs = [random_sequent(rng, rng.randint(1, 8)) for _ in range(600)]
+    seqs = [random_sequent(rng, rng.randint(1, 8)) for _ in range(700)]
     late = list(_lexicon_sequents(add_empty_string(ccg_to_malc(bundle_to_ccg(
-        samples.three_block_bundle()))), 2))
+        samples.three_block_bundle()))), 3))
     cache = SearchCache()
     counts = []
     for group in (seqs, late):
@@ -908,6 +979,35 @@ def test_packed_intervals_unpack_to_the_reference(nodes):
         else:
             assert want.keys() <= got.keys()
             assert got == {name: want.get(name, (0, 0)) for name in got}
+
+
+def _reference_hull(a: int, b: int, pick) -> int:
+    """`prover._hull` one field at a time: peel the lowest signed field off
+    each vector and pack `pick` of the two."""
+    out = shift = 0
+    while a or b:
+        x = ((a + _HALF) & _FIELD) - _HALF
+        y = ((b + _HALF) & _FIELD) - _HALF
+        out += pick(x, y) << shift
+        a = (a - x) >> _WIDTH
+        b = (b - y) >> _WIDTH
+        shift += _WIDTH
+    return out
+
+
+_COUNTS = st.one_of(st.integers(-3, 3), st.integers(-(1 << 61), 1 << 61))
+
+
+@given(st.lists(st.tuples(_COUNTS, _COUNTS), min_size=1, max_size=8),
+       st.sampled_from([min, max]))
+@settings(max_examples=500, deadline=None)
+def test_hull_matches_the_per_field_reference(fields, pick):
+    """Packed vectors of 1-8 signed counts, negative ones and equal ones
+    included: the whole-int hull is the per-field one."""
+    a = sum(x << (_WIDTH * k) for k, (x, _) in enumerate(fields))
+    b = sum(y << (_WIDTH * k) for k, (_, y) in enumerate(fields))
+    want = sum(pick(x, y) << (_WIDTH * k) for k, (x, y) in enumerate(fields))
+    assert _hull(a, b, pick) == _reference_hull(a, b, pick) == want
 
 
 def test_huge_shared_terms_are_not_pruned():
@@ -1069,6 +1169,51 @@ def test_head_focus_agrees_with_unfocused_search_on_seeded_sequents():
                 derivable_count += verdicts[0]
     # budget skips may not hollow the comparison out
     assert decided >= 17_000 and 1_500 <= derivable_count <= decided - 10_000
+
+
+# --- focused synchronous rules against the unfocused one-sided search --------
+
+def _one_sided_verdicts(formulas, budget=20_000):
+    """The focused and the unfocused one-sided search's verdicts on
+    `formulas` with fresh caches, or None when either runs out of the
+    budget."""
+    try:
+        return (macll_derivable(MacllSequent(formulas), budget=budget),
+                _UnfocusedMacllSearch(budget, SearchCache()).derivable(formulas))
+    except BudgetError:
+        return None
+
+
+@given(st.lists(_formulas(), min_size=1, max_size=5))
+@settings(max_examples=1000, deadline=None)
+def test_synchronous_focus_agrees_with_unfocused_search_on_arbitrary_formulas(formulas):
+    verdicts = _one_sided_verdicts(tuple(formulas))
+    assert verdicts is None or verdicts[0] == verdicts[1], formulas
+
+
+def test_synchronous_focus_agrees_with_unfocused_search_on_seeded_sequents():
+    """Seeds 0-3: 2,000 one-sided sequents with constants, the images of
+    3,000 random sequents with up to 12 connectives and those of a
+    derivable-by-construction pool, 20,537 sequents, of which 2,783 are
+    derivable; every proof replays."""
+    decided = derivable_count = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        seqs = [random_macll_sequent(rng) for _ in range(2_000)]
+        seqs += [macll_image(random_sequent(rng, rng.randint(1, 12))) for _ in range(3_000)]
+        seqs += map(macll_image, derivable_pool(rng, "MALC*", steps=300))
+        for seq in seqs:
+            verdicts = _one_sided_verdicts(seq.formulas)
+            if verdicts is None:
+                continue
+            assert verdicts[0] == verdicts[1], seq
+            decided += 1
+            if verdicts[0]:
+                derivable_count += 1
+                tree = prove_macll(seq)
+                assert tree.conclusion == seq and replay_macll(tree), seq
+    # budget skips may not hollow the comparison out
+    assert decided >= 20_000 and 2_500 <= derivable_count <= decided - 10_000
 
 
 def _digests(calculus, seqs) -> tuple[str, str]:

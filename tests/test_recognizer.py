@@ -156,8 +156,14 @@ def categories(draw, depth=2):
 
 @st.composite
 def small_ccgs(draw):
+    """One to five random axioms over a and b, and in three grammars of
+    four one more that gives a letter the target `s` itself: random axioms
+    alone seldom derive `s`, and a test that needs a nonempty language
+    would discard most of them."""
     axioms = draw(st.lists(st.tuples(categories(), st.sampled_from("ab")),
                            min_size=1, max_size=5))
+    if draw(st.integers(0, 3)):
+        axioms.append((PRIMS[0], draw(st.sampled_from("ab"))))
     return ccg("s", axioms, alphabet={"a", "b"})
 
 
