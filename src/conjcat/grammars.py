@@ -1,6 +1,6 @@
 """Grammar value types: conjunctive, conjunctive-categorial, and Lambek."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GrammarError
@@ -11,7 +11,7 @@ _RESERVED_WORDS = {"eps"}
 
 
 def _check_symbol(sym: str, role: str):
-    if len(sym) != 1 or sym.isspace() or sym in "'\";{}#":
+    if len(sym) != 1 or sym.isspace() or sym in "'\";{}#&|:":
         raise GrammarError(f"{role} must be a single printable symbol: {sym!r}")
 
 

@@ -1,7 +1,8 @@
 """Category and linear-logic formula ASTs, text syntax, structural operations.
 
 Everything in this module is an immutable value: all operations are pure
-functions and safe to call concurrently.
+functions and safe to call concurrently.  Terms are hash-consed: equal
+terms are one object, so they compare and hash by identity.
 """
 
 import re
@@ -25,17 +26,42 @@ def _is_name(name) -> bool:
 # Tree nodes, shared by categories and formulas
 # ---------------------------------------------------------------------------
 
-class _Node:
-    """Base class for category and formula trees.
+# Every node, under the key `(class, *parts)` it was built from, its node
+# parts compared by identity.  Constructors build a node only on a miss, so
+# equal terms are one object and `==` and `hash` are identity.  Keys hash
+# and compare in C, so `setdefault` is atomic and racing threads get one
+# object.  Nothing is removed: a term lives as long as the process.
+_TERMS: dict = {}
 
-    Nodes cache their hash and connective count at construction, so
-    hashing and the prover's termination measure are O(1).
+
+def _interned(key: tuple):
+    """The node built under `key`, or None: also when a part is
+    unhashable, which the constructor's checks then refuse."""
+    try:
+        return _TERMS.get(key)
+    except TypeError:
+        return None
+
+
+class _Node:
+    """Base class for category and formula trees: one object per term.
+
+    `size`, the connective count, is set at construction, so the prover's
+    termination measure is O(1).  `_parts` names the constructor's
+    arguments; copying a node returns it, and pickling rebuilds it through
+    its constructor, so a copy is the node itself.
     """
 
-    __slots__ = ("_hash", "size")
+    __slots__ = ("size",)
 
-    def __hash__(self):
-        return self._hash
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._parts)
 
 
 class _Binary(_Node):
@@ -43,24 +69,20 @@ class _Binary(_Node):
     operands must belong to the class `_operand`: `Category` or `Formula`,
     each set on the class itself after its definition."""
 
-    __slots__ = ("left", "right")
+    __slots__ = _parts = ("left", "right")
 
-    __hash__ = _Node.__hash__
-
-    def __init__(self, left, right):
-        kind = self._operand
-        if not isinstance(left, kind) or not isinstance(right, kind):
-            raise TypeError(f"{type(self).__name__} operands must be {kind.__name__} nodes")
-        self.left = left
-        self.right = right
-        self.size = left.size + right.size + 1
-        self._hash = hash((type(self).__name__, left._hash, right._hash))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is type(self) and other._hash == self._hash
-                and other.left == self.left and other.right == self.right)
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        node = _interned(key)
+        if node is None:
+            kind = cls._operand
+            if not isinstance(left, kind) or not isinstance(right, kind):
+                raise TypeError(f"{cls.__name__} operands must be {kind.__name__} nodes")
+            node = object.__new__(cls)
+            node.left, node.right = left, right
+            node.size = left.size + right.size + 1
+            node = _TERMS.setdefault(key, node)
+        return node
 
     def __repr__(self):
         return f"{type(self).__name__}({self.left!r}, {self.right!r})"
@@ -85,19 +107,18 @@ Category._operand = Category
 class Prim(Category):
     """Primitive category, identified by name."""
 
-    __slots__ = ("name",)
+    __slots__ = _parts = ("name",)
 
-    def __init__(self, name: str):
-        if not _is_name(name):
-            raise ValueError(f"bad primitive category name: {name!r}")
-        self.name = name
-        self.size = 0
-        self._hash = hash(("Prim", name))
-
-    __hash__ = Category.__hash__
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Prim and other.name == self.name)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _interned(key)
+        if node is None:
+            if not _is_name(name):
+                raise ValueError(f"bad primitive category name: {name!r}")
+            node = object.__new__(cls)
+            node.name, node.size = name, 0
+            node = _TERMS.setdefault(key, node)
+        return node
 
     def __repr__(self):
         return f"Prim({self.name!r})"
@@ -236,12 +257,8 @@ def subexpressions(c: Category) -> frozenset[Category]:
 def substitute_primitive(c: Category, p: Prim, d: Category) -> Category:
     """Replace every occurrence of the primitive `p` in `c` by `d`."""
     if isinstance(c, Prim):
-        return d if c == p else c
-    left = substitute_primitive(c.left, p, d)
-    right = substitute_primitive(c.right, p, d)
-    if left is c.left and right is c.right:
-        return c
-    return type(c)(left, right)
+        return d if c is p else c
+    return type(c)(substitute_primitive(c.left, p, d), substitute_primitive(c.right, p, d))
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +283,19 @@ _MACLL_RESERVED = {"top", "bot"}
 class Atom(Formula):
     """Variable or its (tight) negation."""
 
-    __slots__ = ("name", "negated")
+    __slots__ = _parts = ("name", "negated")
 
-    __hash__ = Formula.__hash__
-
-    def __init__(self, name: str, negated: bool = False):
-        if not _is_name(name) or name in _MACLL_RESERVED:
-            raise ValueError(f"bad atom name: {name!r}")
-        self.name = name
-        self.negated = bool(negated)
-        self.size = 0
-        self._hash = hash(("Atom", name, self.negated))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atom and other.name == self.name
-                                 and other.negated == self.negated)
+    def __new__(cls, name: str, negated: bool = False):
+        negated = bool(negated)
+        key = (cls, name, negated)
+        node = _interned(key)
+        if node is None:
+            if not _is_name(name) or name in _MACLL_RESERVED:
+                raise ValueError(f"bad atom name: {name!r}")
+            node = object.__new__(cls)
+            node.name, node.negated, node.size = name, negated, 0
+            node = _TERMS.setdefault(key, node)
+        return node
 
     def __repr__(self):
         return f"Atom({self.name!r}, negated={self.negated})"
@@ -289,19 +304,18 @@ class Atom(Formula):
 class Const(Formula):
     """One of the four constants: 1, bot, top, 0."""
 
-    __slots__ = ("name",)
+    __slots__ = _parts = ("name",)
 
-    __hash__ = Formula.__hash__
-
-    def __init__(self, name: str):
-        if name not in ("1", "bot", "top", "0"):
-            raise ValueError(f"bad constant: {name!r}")
-        self.name = name
-        self.size = 1
-        self._hash = hash(("Const", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Const and other.name == self.name)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _interned(key)
+        if node is None:
+            if name not in ("1", "bot", "top", "0"):
+                raise ValueError(f"bad constant: {name!r}")
+            node = object.__new__(cls)
+            node.name, node.size = name, 1
+            node = _TERMS.setdefault(key, node)
+        return node
 
     def __repr__(self):
         return f"Const({self.name!r})"
@@ -372,42 +386,37 @@ def macll_dual(f: Formula, g: Formula) -> bool:
 
 def hat_translate(c: Category) -> Formula:
     """Map a category to its one-sided linear-logic image."""
-    return _hat(c, False, ({}, {}))
+    return _hat(c, False)
 
 
-def _hat(c: Category, negated: bool, atoms: tuple[dict, dict]) -> Formula:
+def _hat(c: Category, negated: bool) -> Formula:
     """`hat_translate`, or with `negated` `macll_negate` of that image,
-    built directly; `atoms[negated]` holds the one `Atom` of each name in
-    that polarity."""
+    built directly."""
     kind = type(c)
     if kind is Prim:
-        table = atoms[negated]
-        atom = table.get(c.name)
-        if atom is None:
-            atom = table[c.name] = Atom(c.name, negated)
-        return atom
+        return Atom(c.name, negated)
     if kind is Prod:
         # (A.B)^ = A^ * B^, whose negation is ~B^ @ ~A^
         if negated:
-            return Par(_hat(c.right, True, atoms), _hat(c.left, True, atoms))
-        return Times(_hat(c.left, False, atoms), _hat(c.right, False, atoms))
+            return Par(_hat(c.right, True), _hat(c.left, True))
+        return Times(_hat(c.left, False), _hat(c.right, False))
     if kind is LDiv:
         # (C\A)^ = ~C^ @ A^, whose negation is ~A^ * C^; `left` is C
         if negated:
-            return Times(_hat(c.right, True, atoms), _hat(c.left, False, atoms))
-        return Par(_hat(c.left, True, atoms), _hat(c.right, False, atoms))
+            return Times(_hat(c.right, True), _hat(c.left, False))
+        return Par(_hat(c.left, True), _hat(c.right, False))
     if kind is RDiv:
         # (A/C)^ = A^ @ ~C^, whose negation is C^ * ~A^; `left` is A
         if negated:
-            return Times(_hat(c.right, False, atoms), _hat(c.left, True, atoms))
-        return Par(_hat(c.left, False, atoms), _hat(c.right, True, atoms))
+            return Times(_hat(c.right, False), _hat(c.left, True))
+        return Par(_hat(c.left, False), _hat(c.right, True))
     if kind is And:
         node = Plus if negated else With
     elif kind is Or:
         node = With if negated else Plus
     else:
         raise TypeError(f"not a category: {c!r}")
-    return node(_hat(c.left, negated, atoms), _hat(c.right, negated, atoms))
+    return node(_hat(c.left, negated), _hat(c.right, negated))
 
 
 def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
@@ -418,11 +427,7 @@ def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
         return f
     if isinstance(f, Const):
         return f
-    left = macll_substitute(f.left, p, d)
-    right = macll_substitute(f.right, p, d)
-    if left is f.left and right is f.right:
-        return f
-    return type(f)(left, right)
+    return type(f)(macll_substitute(f.left, p, d), macll_substitute(f.right, p, d))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +490,7 @@ class _Parser:
     skips any character no token matches, so a text whose tokens do not
     spell all its non-whitespace characters is refused before parsing, at
     the first such character.  Token positions are worked out from the text
-    only when a `ParseError` needs one.  `leaves` holds the one `Prim` of
-    each name the parse has met."""
+    only when a `ParseError` needs one."""
 
     def __init__(self, text: str, syntax: _Syntax):
         self.text = text
@@ -501,7 +505,6 @@ class _Parser:
         self.tokens = tokens
         self.index = 0
         self.tok: Optional[str] = tokens[0]
-        self.leaves = {}
 
     def unexpected_character(self) -> ParseError:
         """The error for the first character no token matches: the first
@@ -612,13 +615,10 @@ def _latex(node, ops, leaf) -> str:
 
 def _category_leaf(ts: _Parser) -> Prim:
     tok = ts.tok
-    leaf = ts.leaves.get(tok)
-    if leaf is None:
-        if tok is None or not tok.isidentifier():
-            raise ParseError(f"expected a category, found {_found(tok)}", ts.pos())
-        leaf = ts.leaves[tok] = Prim(tok)
+    if tok is None or not tok.isidentifier():
+        raise ParseError(f"expected a category, found {_found(tok)}", ts.pos())
     ts.next()
-    return leaf
+    return Prim(tok)
 
 
 def _category_leaf_text(c: Category) -> str:
@@ -784,10 +784,9 @@ def parse_macll_sequent(text: str) -> MacllSequent:
 
 def macll_image(s: Sequent) -> MacllSequent:
     """One-sided image of a two-sided sequent: reversed negated antecedent,
-    then the succedent.  The image has one `Atom` per name and polarity."""
-    atoms = ({}, {})
-    formulas = [_hat(c, True, atoms) for c in reversed(s.antecedent)]
-    formulas.append(_hat(s.succedent, False, atoms))
+    then the succedent."""
+    formulas = [_hat(c, True) for c in reversed(s.antecedent)]
+    formulas.append(_hat(s.succedent, False))
     return MacllSequent(tuple(formulas))
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conjcat.ccg import (CCGDerivation, ccg_derive, ccg_enumerate, ccg_extend,
 from conjcat.errors import GrammarError, UndeclaredSymbolError
 from conjcat.grammars import ccg
 from conjcat.syntax import (And, Category, LDiv, Prim, RDiv, category_str,
-                            conjunct_members, is_conjunct, parse_category)
+                            conjunct_members, parse_category)
 
 p, q, r, s, x, y = (Prim(n) for n in "pqrsxy")
 

@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -134,6 +136,24 @@ target: s
 ])
 def test_grammar_dump_load_roundtrip(grammar):
     assert loads_grammar(dumps_grammar(grammar)) == grammar
+
+
+def test_every_admitted_symbol_round_trips():
+    """Each printable ASCII symbol that a grammar admits reads back from a
+    dump as itself, as a cg terminal and as a ccg alphabet symbol.  The
+    refused ones are whitespace and the symbols the file syntax uses to
+    quote, end, group, comment, split bodies and split axioms."""
+    admitted = set()
+    for sym in string.printable:
+        try:
+            cg = conj_grammar("Start", [("Start", [[sym]])], terminals={sym})
+        except GrammarError:
+            continue
+        admitted.add(sym)
+        assert loads_grammar(dumps_grammar(cg)) == cg
+        categorial = ccg("s", [(Prim("s"), sym)])
+        assert loads_grammar(dumps_grammar(categorial)) == categorial
+    assert set(string.printable) - admitted == set(string.whitespace + "'\";{}#&|:")
 
 
 def test_lambek_dump_load_roundtrip():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -26,7 +27,7 @@ from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE, Or, Par,
                             Plus, Prim, Prod, RDiv, Sequent, TOP, Times, With,
                             ZERO, chain_leaves, is_multiplicative, macll_dual,
                             macll_image, macll_negate, make_conjunct, parse_category,
-                            parse_macll_sequent, parse_sequent, substitute_primitive)
+                            parse_macll_sequent, parse_sequent, sequent_str)
 
 from helpers import indented
 
@@ -1336,7 +1337,8 @@ def test_lambek_enumerate():
 def test_shared_cache_thread_safety():
     """Both searches on one cache from many threads, switching often: the
     memo tables, the primitive numbers, the head sets and the one-sided
-    search's formula numbers are shared."""
+    search's formula numbers are shared, and so is the table that builds
+    every term."""
     g_cache = SearchCache()
     seqs = [random_sequent(random.Random(i), 6) for i in range(40)]
     # primitives that no thread has numbered yet, met by many at once
@@ -1346,12 +1348,23 @@ def test_shared_cache_thread_safety():
     for i in range(70, 100):
         rng = random.Random(i)
         seqs.append(Sequent(_chain_sequent(rng).antecedent, rng.choice([p, q, r])))
+    # six texts that five threads each parse, over primitive names that
+    # nothing has built before: the threads race to build equal terms
+    texts = {}
+    for i in range(100, 130):
+        seqs.append(random_sequent(random.Random(i % 6), 6, atoms=("p", "a", "b")))
+        texts[i] = re.sub(r"\b([ab])\b", r"race_\1", sequent_str(seqs[i]))
     expected = [derivable("MALC*", sq) for sq in seqs]
-    results = {}
+    results, parsed = {}, {}
+    start = threading.Barrier(len(seqs))
 
     def work(idx):
-        tree = prove_macll(macll_image(seqs[idx]), cache=g_cache)
-        results[idx] = (derivable("MALC*", seqs[idx], cache=g_cache),
+        start.wait(timeout=60)
+        seq = seqs[idx]
+        if idx in texts:
+            seq = parsed[idx] = parse_sequent(texts[idx])
+        tree = prove_macll(macll_image(seq), cache=g_cache)
+        results[idx] = (derivable("MALC*", seq, cache=g_cache),
                         tree is not None and replay_macll(tree))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seqs))]
@@ -1367,3 +1380,7 @@ def test_shared_cache_thread_safety():
     assert not any(t.is_alive() for t in threads)
     assert [results[i] for i in range(len(seqs))] == [(e, e) for e in expected]
     assert len(g_cache.heads) >= 100
+    for i, text in texts.items():
+        again = parse_sequent(text)
+        assert again.succedent is parsed[i].succedent
+        assert all(a is b for a, b in zip(again.antecedent, parsed[i].antecedent, strict=True))

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import re
 
@@ -401,6 +403,31 @@ def test_a_parse_and_an_image_share_their_leaves():
         assert len(same) == 2 and same[0] is same[1]
     with pytest.raises(TypeError):
         hat_translate(Atom("p"))
+
+
+def _copies():
+    """Each way to copy a value: `copy.copy`, `copy.deepcopy`, and a pickle
+    round trip in every protocol."""
+    yield copy.copy
+    yield copy.deepcopy
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol))
+
+
+def test_a_copy_of_a_term_is_the_term():
+    """Equal terms are one object, so every copy of a category or a formula
+    is the term itself, and a copied sequent holds the very same parts."""
+    seq = parse_sequent("p/(q&r), q\\p -> (p+q).r")
+    image = macll_image(seq)
+    terms = [*seq.antecedent, seq.succedent, *image.formulas, Atom("p", True), ONE, TOP]
+    for copy_of in _copies():
+        for term in terms:
+            assert copy_of(term) is term
+        for whole, parts in ((seq, lambda v: (*v.antecedent, v.succedent)),
+                             (image, lambda v: v.formulas)):
+            again = copy_of(whole)
+            assert again == whole
+            assert all(a is b for a, b in zip(parts(again), parts(whole), strict=True))
 
 
 # --- golden digests ----------------------------------------------------------
