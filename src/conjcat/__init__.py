@@ -4,8 +4,8 @@ sequent provers with additives, and the translations between them."""
 from .errors import (BudgetError, CalculusError, GrammarError, ParseError,
                      UndeclaredSymbolError)
 from .grammars import (CALCULI, CCG, Calculus, ConjGrammar, L, L_STAR,
-                       LambekGrammar, MALC, MALC_STAR, Rule, ccg,
-                       conj_grammar, lambek_grammar)
+                       LambekGrammar, MALC, MALC_STAR, QuotientBundle, Rule,
+                       ccg, conj_grammar, lambek_grammar)
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv,
                      MacllSequent, ONE, Or, Par, Plus, Prim, Prod, RDiv,
                      Sequent, TOP, Times, With, ZERO, category_str,
@@ -22,7 +22,7 @@ from .ccg import (CCGDerivation, CCGNode, ccg_derive, ccg_enumerate,
 from .prover import (DEFAULT_BUDGET, ProofTree, SearchCache,
                      categories_equivalent, derivable, lambek_enumerate,
                      lambek_member, macll_derivable, prove, prove_macll)
-from .transforms import (Homomorphism, QuotientBundle, add_empty_string,
+from .transforms import (Homomorphism, add_empty_string,
                          bundle_to_ccg, ccg_to_cg, ccg_to_malc, image_member,
                          relative_double_negation, to_disjunction_grammar,
                          verify_bundle)

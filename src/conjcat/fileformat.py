@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ParseError
-from .grammars import (CALCULI, CCG, ConjGrammar, LambekGrammar, Rule,
-                       lambek_grammar)
+from .grammars import (CALCULI, CCG, ConjGrammar, LambekGrammar, QuotientBundle,
+                       Rule, lambek_grammar)
 from .syntax import Prim, category_str, parse_category
 
 Grammar = Union[ConjGrammar, CCG, LambekGrammar]
@@ -227,9 +227,7 @@ def dump_grammar(g: Grammar, path):
 # Bundles
 # ---------------------------------------------------------------------------
 
-def loads_bundle(text: str):
-    from .transforms import QuotientBundle
-
+def loads_bundle(text: str) -> QuotientBundle:
     lines = text.splitlines()
     headers: dict[str, str] = {}
     quotients = {}

@@ -1,6 +1,7 @@
-"""Grammar value types: conjunctive, conjunctive-categorial, and Lambek."""
+"""Grammar value types: conjunctive, conjunctive-categorial, Lambek, and
+quotient bundles."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import GrammarError
@@ -89,6 +90,41 @@ def conj_grammar(start: str, rules: list[tuple[str, list[list[str]]]],
     nonterminals |= {sym for r in rule_objs for body in r.conjuncts
                      for sym in body if sym not in terminals}
     return ConjGrammar(frozenset(terminals), frozenset(nonterminals), start, rule_objs)
+
+
+@dataclass(frozen=True)
+class QuotientBundle:
+    """Per-letter quotient grammars for a language L over `alphabet`.
+
+    `quotients[a]` describes the nonempty part of { w : aw in L }; an
+    absent entry means that part is empty.  `eps_flags[a]` records
+    whether the one-letter string a itself belongs to L.  The grammars
+    must be in the triple-shape rule form checked by
+    `conj.check_odd_normal_form` and have pairwise disjoint nonterminals.
+    """
+
+    alphabet: tuple[str, ...]
+    quotients: Mapping[str, ConjGrammar]
+    eps_flags: Mapping[str, bool] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for letter in self.quotients:
+            if letter not in self.alphabet:
+                raise GrammarError(f"quotient letter {letter!r} not in the alphabet")
+        for letter in self.eps_flags:
+            if letter not in self.alphabet:
+                raise GrammarError(f"eps letter {letter!r} not in the alphabet")
+        seen: set[str] = set()
+        for letter in sorted(self.quotients):
+            grammar = self.quotients[letter]
+            clash = seen & grammar.nonterminals
+            if clash:
+                raise GrammarError(
+                    f"quotient grammars share nonterminals: {sorted(clash)}")
+            seen |= grammar.nonterminals
+
+    def eps(self, letter: str) -> bool:
+        return bool(self.eps_flags.get(letter, False))
 
 
 @dataclass(frozen=True)

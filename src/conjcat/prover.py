@@ -182,11 +182,12 @@ _LATEX_RULES = {
 # adding ints.  A field decodes while its count's magnitude is below _HALF.
 # A count is at most the goal's primitive occurrences, and a term of size
 # _LARGE or more gets no interval (it matches anything, as with `top`), so
-# a goal needs 2**43 terms to overflow a field, more than fit in memory.
+# a goal needs 2**51 terms to overflow a field, more than fit in memory.
+# Such a term is not visited, so the recursion is under _LARGE deep.
 _WIDTH = 64
 _HALF = 1 << (_WIDTH - 1)
 _FIELD = (1 << _WIDTH) - 1
-_LARGE = 1 << 20
+_LARGE = 1 << 12
 
 
 def _interval(node: Union[Category, Formula], memo: dict,
@@ -205,10 +206,12 @@ def _interval(node: Union[Category, Formula], memo: dict,
             (-unit, -unit) if isinstance(node, Atom) and node.negated else (unit, unit)
     elif isinstance(node, Const):
         out = None if node is TOP else (0, 0)
+    elif node.size >= _LARGE:
+        out = None
     else:
         left = _interval(node.left, memo, numbers)
         right = _interval(node.right, memo, numbers)
-        if left is None or right is None or node.size >= _LARGE:
+        if left is None or right is None:
             out = None
         elif isinstance(node, LDiv):  # den\num
             out = (right[0] - left[1], right[1] - left[0])

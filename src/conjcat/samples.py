@@ -4,9 +4,8 @@ The two-block language is { b a^n c a^n : n >= 0 }; the three-block
 language is { b a^n c a^n c a^n : n >= 1 }, which needs conjunction.
 """
 
-from .grammars import CCG, ConjGrammar, ccg, conj_grammar
+from .grammars import CCG, ConjGrammar, QuotientBundle, ccg, conj_grammar
 from .syntax import And, LDiv, Prim, RDiv
-from .transforms import QuotientBundle
 
 _s, _p, _q, _r, _x, _y = (Prim(n) for n in "spqrxy")
 

@@ -63,6 +63,9 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._parts)
 
+    def __str__(self):
+        return _text(self)
+
 
 class _Binary(_Node):
     """The body of every binary connective, category or formula.  Its
@@ -96,9 +99,6 @@ class Category(_Node):
     """Base class for category trees."""
 
     __slots__ = ()
-
-    def __str__(self):
-        return category_str(self)
 
 
 Category._operand = Category
@@ -270,9 +270,6 @@ class Formula(_Node):
 
     __slots__ = ()
 
-    def __str__(self):
-        return formula_str(self)
-
 
 Formula._operand = Formula
 
@@ -301,6 +298,10 @@ class Atom(Formula):
         return f"Atom({self.name!r}, negated={self.negated})"
 
 
+# Each constant's name, and the name of its dual under linear negation.
+_DUAL_CONSTANTS = {"1": "bot", "bot": "1", "0": "top", "top": "0"}
+
+
 class Const(Formula):
     """One of the four constants: 1, bot, top, 0."""
 
@@ -310,7 +311,7 @@ class Const(Formula):
         key = (cls, name)
         node = _interned(key)
         if node is None:
-            if name not in ("1", "bot", "top", "0"):
+            if not isinstance(name, str) or name not in _DUAL_CONSTANTS:
                 raise ValueError(f"bad constant: {name!r}")
             node = object.__new__(cls)
             node.name, node.size = name, 1
@@ -347,25 +348,24 @@ class Plus(Formula, _Binary):
     __slots__ = ()
 
 
+# Each connective's dual under linear negation; the multiplicatives, Times
+# and Par, also swap their operands.
+_DUAL_NODES = {Times: Par, Par: Times, With: Plus, Plus: With}
+
+
 def macll_negate(f: Formula) -> Formula:
     """Linear negation; an involution.  Multiplicatives swap their operands."""
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return Atom(f.name, not f.negated)
-    if isinstance(f, Const):
-        return {"1": BOT, "bot": ONE, "0": TOP, "top": ZERO}[f.name]
-    if isinstance(f, Times):
-        return Par(macll_negate(f.right), macll_negate(f.left))
-    if isinstance(f, Par):
-        return Times(macll_negate(f.right), macll_negate(f.left))
-    if isinstance(f, Plus):
-        return With(macll_negate(f.left), macll_negate(f.right))
-    if isinstance(f, With):
-        return Plus(macll_negate(f.left), macll_negate(f.right))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-_DUAL_CONSTANTS = {"1": "bot", "bot": "1", "0": "top", "top": "0"}
-_DUAL_NODES = {Times: Par, Par: Times, With: Plus, Plus: With}
+    if kind is Const:
+        return Const(_DUAL_CONSTANTS[f.name])
+    dual = _DUAL_NODES.get(kind)
+    if dual is None:
+        raise TypeError(f"not a formula: {f!r}")
+    if kind is Times or kind is Par:
+        return dual(macll_negate(f.right), macll_negate(f.left))
+    return dual(macll_negate(f.left), macll_negate(f.right))
 
 
 def macll_dual(f: Formula, g: Formula) -> bool:
@@ -389,34 +389,34 @@ def hat_translate(c: Category) -> Formula:
     return _hat(c, False)
 
 
+# Each category connective's image node, and whether the image negates the
+# left and the right operand's image.
+_IMAGES = {
+    Prod: (Times, False, False),  # (A.B)^ = A^ * B^
+    LDiv: (Par, True, False),     # (C\A)^ = ~C^ @ A^; `left` is C
+    RDiv: (Par, False, True),     # (A/C)^ = A^ @ ~C^; `left` is A
+    And: (With, False, False),    # (A&B)^ = A^ & B^
+    Or: (Plus, False, False),     # (A+B)^ = A^ + B^
+}
+
+
 def _hat(c: Category, negated: bool) -> Formula:
     """`hat_translate`, or with `negated` `macll_negate` of that image,
-    built directly."""
+    built directly: the image node's dual over the negated operands."""
     kind = type(c)
     if kind is Prim:
         return Atom(c.name, negated)
-    if kind is Prod:
-        # (A.B)^ = A^ * B^, whose negation is ~B^ @ ~A^
-        if negated:
-            return Par(_hat(c.right, True), _hat(c.left, True))
-        return Times(_hat(c.left, False), _hat(c.right, False))
-    if kind is LDiv:
-        # (C\A)^ = ~C^ @ A^, whose negation is ~A^ * C^; `left` is C
-        if negated:
-            return Times(_hat(c.right, True), _hat(c.left, False))
-        return Par(_hat(c.left, True), _hat(c.right, False))
-    if kind is RDiv:
-        # (A/C)^ = A^ @ ~C^, whose negation is C^ * ~A^; `left` is A
-        if negated:
-            return Times(_hat(c.right, False), _hat(c.left, True))
-        return Par(_hat(c.left, False), _hat(c.right, True))
-    if kind is And:
-        node = Plus if negated else With
-    elif kind is Or:
-        node = With if negated else Plus
-    else:
+    image = _IMAGES.get(kind)
+    if image is None:
         raise TypeError(f"not a category: {c!r}")
-    return node(_hat(c.left, negated), _hat(c.right, negated))
+    node, negate_left, negate_right = image
+    left = _hat(c.left, negate_left != negated)
+    right = _hat(c.right, negate_right != negated)
+    if not negated:
+        return node(left, right)
+    if node is With or node is Plus:
+        return _DUAL_NODES[node](left, right)
+    return _DUAL_NODES[node](right, left)
 
 
 def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
@@ -437,7 +437,8 @@ def macll_substitute(f: Formula, p: Prim, d: Formula) -> Formula:
 # loosest first, each entry a token, its node class and its LaTeX operator.
 # `/` and `.` chains associate to the left, all others to the right, and a
 # chain mixing two operators of one level must be parenthesized.  One
-# parser, one printer and one LaTeX printer read either table.
+# parser reads either table; the printers read both at once, since no node
+# class is in both.
 # ---------------------------------------------------------------------------
 
 _LEFT_ASSOCIATIVE = (RDiv, Prod)
@@ -462,19 +463,23 @@ _CAT_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|\|-|[()\\/.&+,])")
 _FORMULA_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[01]|\|-|->|[()&+*@~,])")
 
 
+# Each node class of both tables: (token, level, left-associative) for the
+# printer, and its LaTeX operator.
+_OPS = {node: (tok, i, node in _LEFT_ASSOCIATIVE)
+        for table in (_CATEGORY_TABLE, _FORMULA_TABLE)
+        for i, level in enumerate(table) for tok, node, _ in level}
+_LATEX_OPS = {node: latex for table in (_CATEGORY_TABLE, _FORMULA_TABLE)
+              for level in table for _, node, latex in level}
+
+
 class _Syntax:
-    """An operator table read three ways, and the leaf parser: `levels`
-    maps tokens to node classes for the parser, `ops` maps node classes to
-    (token, level, left-associative) for the printer, and `latex_ops` to
-    LaTeX operators."""
+    """What the parser reads of one syntax: its token pattern, its leaf
+    parser, and `levels`, each level's tokens mapped to node classes."""
 
     def __init__(self, token_re, table, parse_leaf):
         self.token_re = token_re
         self.parse_leaf = parse_leaf
         self.levels = tuple({tok: node for tok, node, _ in level} for level in table)
-        self.ops = {node: (tok, i, node in _LEFT_ASSOCIATIVE)
-                    for i, level in enumerate(table) for tok, node, _ in level}
-        self.latex_ops = {node: latex for level in table for _, node, latex in level}
 
 
 def _found(tok: Optional[str]) -> str:
@@ -581,36 +586,56 @@ def _parse_all(text: str, syntax: _Syntax):
     return out
 
 
-def _text(node, ops, leaf) -> str:
+def _text(node) -> str:
     """Minimal-parentheses rendering; parses back to an identical tree.
 
     An operand is wrapped when it binds more loosely than its parent, or at
     the same level unless it is the same operator on the side where the
     chain grows."""
-    op = ops.get(type(node))
+    op = _OPS.get(type(node))
     if op is None:
-        return leaf(node)
+        return _leaf_text(node)
     symbol, level, grows_left = op
     left, right = node.left, node.right
-    left_text = _text(left, ops, leaf)
-    sub = ops.get(type(left))
+    left_text = _text(left)
+    sub = _OPS.get(type(left))
     if sub is not None and (sub[1] < level or sub[1] == level
                             and (sub is not op or not grows_left)):
         left_text = f"({left_text})"
-    right_text = _text(right, ops, leaf)
-    sub = ops.get(type(right))
+    right_text = _text(right)
+    sub = _OPS.get(type(right))
     if sub is not None and (sub[1] < level or sub[1] == level
                             and (sub is not op or grows_left)):
         right_text = f"({right_text})"
     return f"{left_text}{symbol}{right_text}"
 
 
-def _latex(node, ops, leaf) -> str:
+def _latex(node) -> str:
     """Fully parenthesized LaTeX math rendering."""
-    op = ops.get(type(node))
+    op = _LATEX_OPS.get(type(node))
     if op is None:
-        return leaf(node)
-    return f"({_latex(node.left, ops, leaf)}{op}{_latex(node.right, ops, leaf)})"
+        return _leaf_latex(node)
+    return f"({_latex(node.left)}{op}{_latex(node.right)})"
+
+
+def _leaf_text(leaf) -> str:
+    """A primitive, an atom (`~` before a negated one) or a constant."""
+    if isinstance(leaf, Atom) and leaf.negated:
+        return f"~{leaf.name}"
+    if isinstance(leaf, (Prim, Atom, Const)):
+        return leaf.name
+    raise TypeError(f"not a category or formula: {leaf!r}")
+
+
+_LATEX_CONSTS = {"1": "1", "bot": r"\bot", "top": r"\top", "0": "0"}
+
+
+def _leaf_latex(leaf) -> str:
+    """A leaf's text in LaTeX: `~p` is written `\\bar{p}`."""
+    if isinstance(leaf, Const):
+        return _LATEX_CONSTS[leaf.name]
+    text = _leaf_text(leaf).replace("_", r"\_")
+    return rf"\bar{{{text[1:]}}}" if text.startswith("~") else text
 
 
 def _category_leaf(ts: _Parser) -> Prim:
@@ -621,17 +646,7 @@ def _category_leaf(ts: _Parser) -> Prim:
     return Prim(tok)
 
 
-def _category_leaf_text(c: Category) -> str:
-    if isinstance(c, Prim):
-        return c.name
-    raise TypeError(f"not a category: {c!r}")
-
-
-def _category_leaf_latex(c: Category) -> str:
-    return _category_leaf_text(c).replace("_", r"\_")
-
-
-_CONSTANTS = {"1": ONE, "bot": BOT, "top": TOP, "0": ZERO}
+_CONSTANTS = {c.name: c for c in (ONE, BOT, TOP, ZERO)}
 
 
 def _formula_leaf(ts: _Parser) -> Formula:
@@ -652,24 +667,6 @@ def _formula_leaf(ts: _Parser) -> Formula:
     raise ParseError(f"expected a formula, found {_found(tok)}", ts.pos())
 
 
-def _formula_leaf_text(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f"~{f.name}" if f.negated else f.name
-    if isinstance(f, Const):
-        return f.name
-    raise TypeError(f"not a formula: {f!r}")
-
-
-_LATEX_CONSTS = {"1": "1", "bot": r"\bot", "top": r"\top", "0": "0"}
-
-
-def _formula_leaf_latex(f: Formula) -> str:
-    if isinstance(f, Const):
-        return _LATEX_CONSTS[f.name]
-    name = f.name.replace("_", r"\_")
-    return rf"\bar{{{name}}}" if f.negated else name
-
-
 _CATEGORY = _Syntax(_CAT_TOKEN_RE, _CATEGORY_TABLE, _category_leaf)
 _FORMULA = _Syntax(_FORMULA_TOKEN_RE, _FORMULA_TABLE, _formula_leaf)
 
@@ -679,11 +676,11 @@ def parse_category(text: str) -> Category:
 
 
 def category_str(c: Category) -> str:
-    return _text(c, _CATEGORY.ops, _category_leaf_text)
+    return _text(c)
 
 
 def category_latex(c: Category) -> str:
-    return _latex(c, _CATEGORY.latex_ops, _category_leaf_latex)
+    return _latex(c)
 
 
 def parse_formula(text: str) -> Formula:
@@ -691,11 +688,11 @@ def parse_formula(text: str) -> Formula:
 
 
 def formula_str(f: Formula) -> str:
-    return _text(f, _FORMULA.ops, _formula_leaf_text)
+    return _text(f)
 
 
 def formula_latex(f: Formula) -> str:
-    return _latex(f, _FORMULA.latex_ops, _formula_leaf_latex)
+    return _latex(f)
 
 
 # ---------------------------------------------------------------------------

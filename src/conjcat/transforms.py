@@ -2,13 +2,13 @@
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .ccg import ccg_translation
 from .conj import _odd_form_shape, cg_enumerate, check_odd_normal_form
 from .errors import BudgetError, GrammarError, UndeclaredSymbolError
-from .grammars import CCG, ConjGrammar, LambekGrammar
+from .grammars import CCG, ConjGrammar, LambekGrammar, QuotientBundle
 from .syntax import (And, Category, LDiv, Or, Prim, RDiv, category_str, chain,
                      chain_leaves, conjunct_members, fresh_name, fresh_names,
                      is_and_free, is_conjunct, make_conjunct, primitive_names,
@@ -32,41 +32,6 @@ def ccg_to_cg(g: CCG) -> ConjGrammar:
 # ---------------------------------------------------------------------------
 # Conjunctive -> categorial, via per-letter quotient grammars
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuotientBundle:
-    """Per-letter quotient grammars for a language L over `alphabet`.
-
-    `quotients[a]` describes the nonempty part of { w : aw in L }; an
-    absent entry means that part is empty.  `eps_flags[a]` records
-    whether the one-letter string a itself belongs to L.  The grammars
-    must be in the triple-shape rule form checked by
-    `check_odd_normal_form` and have pairwise disjoint nonterminals.
-    """
-
-    alphabet: tuple[str, ...]
-    quotients: Mapping[str, ConjGrammar]
-    eps_flags: Mapping[str, bool] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for letter in self.quotients:
-            if letter not in self.alphabet:
-                raise GrammarError(f"quotient letter {letter!r} not in the alphabet")
-        for letter in self.eps_flags:
-            if letter not in self.alphabet:
-                raise GrammarError(f"eps letter {letter!r} not in the alphabet")
-        seen: set[str] = set()
-        for letter in sorted(self.quotients):
-            grammar = self.quotients[letter]
-            clash = seen & grammar.nonterminals
-            if clash:
-                raise GrammarError(
-                    f"quotient grammars share nonterminals: {sorted(clash)}")
-            seen |= grammar.nonterminals
-
-    def eps(self, letter: str) -> bool:
-        return bool(self.eps_flags.get(letter, False))
-
 
 _IDENT_SANITIZE = re.compile(r"[^A-Za-z0-9_]")
 

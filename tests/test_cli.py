@@ -459,19 +459,32 @@ def test_cvp_member_letter_outside_the_pattern_alphabet_is_an_input_error(capsys
         assert err.startswith("error:") and "is not in the" in err
 
 
-@pytest.mark.parametrize("slashes", [
-    19_000,
-    pytest.param(30_000, marks=pytest.mark.xfail(
-        raises=RecursionError, strict=True,
-        reason="a left-associative chain is folded without recursion, so the parsed "
-               "term is deeper than any recursion limit the parser met, and the "
-               "search recurses through it (ROADMAP direction 10)")),
-])
-def test_prove_answers_on_a_deep_left_associative_chain(capsys, slashes):
+def _prove_chain(capsys, slashes, succedent=None, *options):
+    """`prove` in L on `C -> succedent` for the chain C of `slashes`
+    slashes, by default `C -> C`."""
     chain = "p" + "/p" * slashes
     try:
-        code, out, err = run(capsys, "prove", "--calculus", "L", f"{chain} -> {chain}")
+        return run(capsys, "prove", "--calculus", "L", f"{chain} -> {succedent or chain}",
+                   *options)
     except RecursionError as e:
         # raised afresh, so that pytest does not render thousands of frames
         raise RecursionError(str(e)) from None
+
+
+@pytest.mark.parametrize("slashes", [19_000, 30_000, 100_000])
+def test_prove_answers_on_a_deep_left_associative_chain(capsys, slashes):
+    code, out, err = _prove_chain(capsys, slashes)
     assert (code, out) == (0, "derivable\n") or (code == 3 and "budget" in err)
+
+
+def test_prove_refutes_a_deep_left_associative_chain(capsys):
+    assert _prove_chain(capsys, 30_000, "p") == (1, "not derivable\n", "")
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="the proof's sequents are printed by recursion through "
+                          "the term (ROADMAP direction 10)")
+@pytest.mark.parametrize("output", ["json", "latex"])
+def test_prove_exports_a_deep_left_associative_chain(capsys, output):
+    code, out, _ = _prove_chain(capsys, 30_000, None, "--output", output)
+    assert code == 0 and out.count("p") >= 2 * 30_001  # both sides of the axiom

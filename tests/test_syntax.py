@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from conjcat.errors import ParseError
 from conjcat.fuzz import random_category, random_sequent
-from conjcat.syntax import (And, Atom, BOT, LDiv, MacllSequent, ONE,
+from conjcat.syntax import (And, Atom, BOT, Const, LDiv, MacllSequent, ONE,
                             Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP,
                             Times, With, ZERO, category_latex, category_str,
                             conjunct_members, formula_latex, formula_str,
@@ -259,6 +259,23 @@ def test_names_are_exactly_the_ascii_identifiers():
         for make in (Prim, Atom):
             with pytest.raises(TypeError):
                 make(bad)
+
+
+def test_the_constants_are_exactly_the_four():
+    """`Const` refuses every name but `1`, `bot`, `top` and `0` with
+    `ValueError`, and parsing a constant gives the module's constant."""
+    printable = [chr(i) for i in range(32, 127)]
+    names = printable + [a + b for a in printable for b in printable]
+    names += ["bot", "top", "Bot", "TOP", "one", "zero", "1 ", " 0", "~1", "bot1", "\u00b9"]
+    names += [1, 0, None, b"1", 1.0, ["1"], ("bot",)]
+    constants = {"1": ONE, "bot": BOT, "top": TOP, "0": ZERO}
+    for name in names:
+        if isinstance(name, str) and name in constants:
+            assert Const(name) is constants[name] and parse_formula(name) is Const(name)
+        else:
+            with pytest.raises(ValueError):
+                Const(name)
+    assert [c.name for c in constants.values()] == list(constants)
 
 
 def test_fresh_names():
