@@ -124,6 +124,13 @@ class _Chart:
     are forgotten, also when the query itself came out true.  Positive
     entries stand: each was proved from entries already true.
 
+    A body's trailing terminals are matched first, as one string at the
+    end of the span: a body that ends in `'a' 'c'` holds on `w[i:j]` only
+    if `w[i:j]` ends in `ac`, and then only its core, the body without
+    them, is split, over `w[i:j - 2]`.  So the core's last item ends at a
+    known point, and a body like `'a' B 'a'` reads one entry of `B` in
+    place of one per end point.
+
     The table maps `(nt, i, j)` (`nt` a nonterminal id) to True when `nt`
     derives `w[i:j]`, to None when it does not, and to `_PENDING` while
     the entry is being computed.
@@ -131,7 +138,7 @@ class _Chart:
 
     def __init__(self, g: ConjGrammar, w: str):
         self.recognizer = chart_index(g, _Recognizer)
-        self.by_head = self.recognizer.by_head
+        self.cores = self.recognizer.cores
         self.alphabet = self.recognizer.alphabet
         self.w = w
         self.table: dict[tuple[int, int, int], object] = {}
@@ -172,9 +179,10 @@ class _Chart:
             return found
         # Some rule whose every conjunct splits under the entries known now.
         self.table[key] = _PENDING
-        for _, conjuncts in self.by_head[nt]:
-            for body in conjuncts:
-                if not self._splits(body, i, j):
+        w = self.w
+        for conjuncts in self.cores[nt]:
+            for core, suffix in conjuncts:
+                if not (w.endswith(suffix, i, j) and self._splits(core, i, j - len(suffix))):
                     break
             else:
                 self.table[key] = True
@@ -279,6 +287,10 @@ class _Recognizer:
         self.by_head: list[list[tuple]] = [[] for _ in ids]
         for k, (head, conjuncts) in enumerate(rules):
             self.by_head[head].append((k, conjuncts))
+        # by head id, for `_Chart`: its rules' conjuncts, each body as its
+        # core and the string of the terminals that end it
+        self.cores = [[tuple(_core_and_suffix(body, self.alphabet) for body in conjuncts)
+                       for _, conjuncts in head_rules] for head_rules in self.by_head]
         # plans[letter]: the steps of a start at that letter, each a
         # (cyclic, rules) pair; adjacent acyclic components share a step
         self.plans = []
@@ -436,6 +448,14 @@ class _Recognizer:
             return walk(0, i)
         finally:
             del walk  # the closure refers to itself; leave no cycle behind
+
+
+def _core_and_suffix(body: tuple[int, ...], alphabet: list[str]) -> tuple[tuple[int, ...], str]:
+    """`body` without its run of trailing terminals, and that run's letters."""
+    k = len(body)
+    while k and body[k - 1] < 0:
+        k -= 1
+    return body[:k], "".join(alphabet[~item] for item in body[k:])
 
 
 def _body_letters(body: tuple[str, ...], sets: dict[str, frozenset[str]],

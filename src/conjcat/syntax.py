@@ -49,7 +49,7 @@ class _Node:
     `size`, the connective count, is set at construction, so the prover's
     termination measure is O(1).  `_parts` names the constructor's
     arguments; copying a node returns it, and pickling rebuilds it through
-    its constructor, so a copy is the node itself.
+    its constructors, so a copy is the node itself.
     """
 
     __slots__ = ("size",)
@@ -61,10 +61,47 @@ class _Node:
         return self
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._parts)
+        return _unflatten, (_flatten(self),)
 
     def __str__(self):
         return _text(self)
+
+
+def _flatten(root: _Node) -> tuple:
+    """The distinct nodes of `root`, children first and `root` last, each
+    as a step `(class, *parts)`: a leaf's constructor arguments, or a
+    binary node's operands by their positions in the tuple.  Pickle saves
+    it flat, however deep the term is."""
+    at: dict = {}  # node -> its position; nodes hash by identity
+    steps = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in at:
+            stack.pop()
+            continue
+        if isinstance(node, _Binary):
+            waiting = [child for child in (node.right, node.left) if child not in at]
+            if waiting:
+                stack += waiting
+                continue
+            step = (type(node), at[node.left], at[node.right])
+        else:
+            step = (type(node), *(getattr(node, name) for name in node._parts))
+        stack.pop()
+        at[node] = len(steps)
+        steps.append(step)
+    return tuple(steps)
+
+
+def _unflatten(steps: tuple) -> _Node:
+    """The term `_flatten` gave `steps` for, rebuilt in one pass."""
+    built: list = []
+    for kind, *parts in steps:
+        if issubclass(kind, _Binary):
+            parts = [built[k] for k in parts]
+        built.append(kind(*parts))
+    return built[-1]
 
 
 class _Binary(_Node):
@@ -463,11 +500,21 @@ _CAT_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|\|-|[()\\/.&+,])")
 _FORMULA_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[01]|\|-|->|[()&+*@~,])")
 
 
-# Each node class of both tables: (token, level, left-associative) for the
-# printer, and its LaTeX operator.
-_OPS = {node: (tok, i, node in _LEFT_ASSOCIATIVE)
-        for table in (_CATEGORY_TABLE, _FORMULA_TABLE)
-        for i, level in enumerate(table) for tok, node, _ in level}
+def _wrapped(table, level: int, node, growing: bool) -> frozenset:
+    """The operand classes that `node`, at `level` of `table`, wraps in
+    parentheses on one side, `growing` when its chains grow on that side:
+    those that bind more loosely, and those of its level but itself on
+    the growing side."""
+    return frozenset(sub for j, row in enumerate(table) for _, sub, _ in row
+                     if j < level or j == level and (sub is not node or not growing))
+
+
+# Each node class of both tables: its token, and the operand classes it
+# wraps on its left and on its right.
+_TEXT_OPS = {node: (tok, _wrapped(table, i, node, node in _LEFT_ASSOCIATIVE),
+                    _wrapped(table, i, node, node not in _LEFT_ASSOCIATIVE))
+             for table in (_CATEGORY_TABLE, _FORMULA_TABLE)
+             for i, level in enumerate(table) for tok, node, _ in level}
 _LATEX_OPS = {node: latex for table in (_CATEGORY_TABLE, _FORMULA_TABLE)
               for level in table for _, node, latex in level}
 
@@ -586,36 +633,57 @@ def _parse_all(text: str, syntax: _Syntax):
     return out
 
 
+# The most connectives a term may have for the printers to render it by
+# recursion, which is faster on small terms; a larger one is written with
+# an explicit stack (`tree_pieces`), so a term of any depth prints.
+_SHALLOW = 32
+
+
 def _text(node) -> str:
     """Minimal-parentheses rendering; parses back to an identical tree.
-
-    An operand is wrapped when it binds more loosely than its parent, or at
-    the same level unless it is the same operator on the side where the
-    chain grows."""
-    op = _OPS.get(type(node))
+    Operands are wrapped as `_TEXT_OPS` says."""
+    op = _TEXT_OPS.get(type(node))
     if op is None:
         return _leaf_text(node)
-    symbol, level, grows_left = op
+    if node.size > _SHALLOW:
+        return "".join(tree_pieces(node, _text_pieces))
+    symbol, wrap_left, wrap_right = op
     left, right = node.left, node.right
-    left_text = _text(left)
-    sub = _OPS.get(type(left))
-    if sub is not None and (sub[1] < level or sub[1] == level
-                            and (sub is not op or not grows_left)):
+    left_text, right_text = _text(left), _text(right)
+    if type(left) in wrap_left:
         left_text = f"({left_text})"
-    right_text = _text(right)
-    sub = _OPS.get(type(right))
-    if sub is not None and (sub[1] < level or sub[1] == level
-                            and (sub is not op or grows_left)):
+    if type(right) in wrap_right:
         right_text = f"({right_text})"
     return f"{left_text}{symbol}{right_text}"
 
 
+def _text_pieces(node) -> list:
+    """`node`'s text for `tree_pieces`: a small term in one piece, a larger
+    one as its operands around its symbol."""
+    if node.size <= _SHALLOW:
+        return [_text(node)]
+    symbol, wrap_left, wrap_right = _TEXT_OPS[type(node)]
+    left, right = node.left, node.right
+    pieces = ["(", left, ")", symbol] if type(left) in wrap_left else [left, symbol]
+    pieces += ("(", right, ")") if type(right) in wrap_right else (right,)
+    return pieces
+
+
 def _latex(node) -> str:
-    """Fully parenthesized LaTeX math rendering."""
+    """Fully parenthesized LaTeX math rendering, written as `_text` is."""
     op = _LATEX_OPS.get(type(node))
     if op is None:
         return _leaf_latex(node)
+    if node.size > _SHALLOW:
+        return "".join(tree_pieces(node, _latex_pieces))
     return f"({_latex(node.left)}{op}{_latex(node.right)})"
+
+
+def _latex_pieces(node) -> list:
+    """`node`'s LaTeX for `tree_pieces`, split as `_text_pieces` splits."""
+    if node.size <= _SHALLOW:
+        return [_latex(node)]
+    return ["(", node.left, _LATEX_OPS[type(node)], node.right, ")"]
 
 
 def _leaf_text(leaf) -> str:

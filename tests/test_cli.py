@@ -481,9 +481,6 @@ def test_prove_refutes_a_deep_left_associative_chain(capsys):
     assert _prove_chain(capsys, 30_000, "p") == (1, "not derivable\n", "")
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="the proof's sequents are printed by recursion through "
-                          "the term (ROADMAP direction 10)")
 @pytest.mark.parametrize("output", ["json", "latex"])
 def test_prove_exports_a_deep_left_associative_chain(capsys, output):
     code, out, _ = _prove_chain(capsys, 30_000, None, "--output", output)

@@ -113,6 +113,35 @@ def test_right_recursion_fills_a_linear_table():
     assert len(chart.table) <= 2 * len(w)
 
 
+class _CountingTable(dict):
+    """A chart table that counts its `get` probes: the split search reads
+    every settled entry through `get`."""
+
+    probes = 0
+
+    def get(self, *args):
+        self.probes += 1
+        return super().get(*args)
+
+
+def _probes(g, w):
+    chart = _Chart(g, w)
+    chart.table = _CountingTable()
+    return chart.derives(g.start, 0, len(w)), chart.table.probes
+
+
+def test_three_block_chart_work_grows_quadratically():
+    # `B -> 'a' B 'a'` holds on a span only if its last letter is `a`, and
+    # then its `B` ends one letter before the span does: one probe, not one
+    # per end point.  Probing every end point grows the work 7.5-fold.
+    g = samples.three_block_conj()
+    for extra, member in (("", True), ("a", False)):
+        (small, few), (large, many) = (
+            _probes(g, "b" + "a" * n + "c" + "a" * n + "c" + "a" * n + extra) for n in (32, 64))
+        assert small == large == member
+        assert many <= 4.5 * few, (extra, few, many)
+
+
 def test_chart_recursion_is_a_budget_error_not_a_no():
     # The chart recurses about once a letter here, so a long enough word
     # runs out of stack; that must not read as "not a member".

@@ -19,7 +19,7 @@ from conjcat.conj import replay_derivation as conj_replay
 from conjcat.cvp import cvp_grammar, encode_circuit, enumerate_circuits
 from conjcat.fileformat import dumps_grammar
 from conjcat.fuzz import random_conj_grammar
-from conjcat.grammars import ccg
+from conjcat.grammars import ccg, conj_grammar
 from conjcat.prover import SearchCache, lambek_member
 from conjcat.syntax import LDiv, Prim, RDiv, category_str, make_conjunct
 from conjcat.transforms import bundle_to_ccg, ccg_to_cg, ccg_to_malc
@@ -127,6 +127,63 @@ def test_kernel_matches_the_chart_on_random_grammars():
                     for j in range(i, len(w) + 1):
                         assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
                             (seed, nt, w, i, j)
+
+
+def trailing_terminal_grammar(rng: random.Random):
+    """A `random_conj_grammar` with a run of one to three terminals put at
+    the end of about half its bodies, whose cores stay as they were drawn:
+    empty, nullable, units, and same-span cycles."""
+    g = random_conj_grammar(rng)
+    rules = [(rule.head, [list(body) + rng.choices("ab", k=rng.randint(1, 3))
+                          if rng.random() < 0.5 else list(body)
+                          for body in rule.conjuncts])
+             for rule in g.rules]
+    return conj_grammar("S", rules, terminals={"a", "b"})
+
+
+def test_chart_matches_the_kernel_on_bodies_ending_in_terminals():
+    """The chart matches a body's trailing terminals at the end of the span
+    and splits only its core; the kernel reads every item in turn."""
+    words = ["".join(c) for n in range(7) for c in itertools.product("ab", repeat=n)]
+    cores = dict.fromkeys(("empty", "nullable", "unit", "cyclic"), 0)
+    for seed in range(120):
+        g = trailing_terminal_grammar(random.Random(seed))
+        recognizer = _Recognizer(g)
+        nullable = set(recognizer.nullable)
+        for conjuncts in itertools.chain.from_iterable(recognizer.cores):
+            for core, suffix in conjuncts:
+                if suffix:
+                    cores["empty"] += not core
+                    cores["nullable"] += bool(core) and nullable.issuperset(core)
+                    cores["unit"] += len(core) == 1 and core[0] >= 0
+                    cores["cyclic"] += any(item in recognizer.cyclic for item in core)
+        for w in words:
+            chart = _Chart(g, w)
+            table = recognizer.table(w)
+            for nt, k in recognizer.ids.items():
+                for i in range(len(w) + 1):
+                    for j in range(i, len(w) + 1):
+                        assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
+                            (seed, nt, w, i, j)
+    assert all(cores.values()), cores
+
+
+def test_chart_matches_the_kernel_on_long_words():
+    """Members of length about 200 of three grammars with bodies that end
+    in terminals, and near misses: one block a letter longer or shorter,
+    a letter more or less at the end."""
+    cases = [(samples.three_block_conj(), lambda x, y, z: f"b{'a' * x}c{'a' * y}c{'a' * z}", 66),
+             (samples.two_block_cfg(), lambda x, y, z: f"b{'a' * x}c{'a' * y}", 99),
+             (samples.three_block_quotient(), lambda x, y, z: f"{'a' * x}c{'a' * y}c{'a' * z}", 66)]
+    for g, blocks, n in cases:
+        recognizer = _Recognizer(g)
+        goal = recognizer.ids[g.start]
+        member = blocks(n, n, n)
+        near = [blocks(*(n + d * (k == m) for k in range(3))) for m in range(3) for d in (-1, 1)]
+        near += [member + "a", member + "c", member[:-1]]
+        assert cg_member(g, member) and recognizer.fill(member, goal) is not None
+        for w in near:
+            assert cg_member(g, w) == (recognizer.fill(w, goal) is not None), w
 
 
 def test_kernel_matches_the_chart_on_the_circuit_grammar():

@@ -447,6 +447,18 @@ def test_a_copy_of_a_term_is_the_term():
             assert all(a is b for a, b in zip(parts(again), parts(whole), strict=True))
 
 
+def test_a_deep_term_pickles_flat_and_comes_back_itself():
+    deep = parse_category("p" + "/p" * 19_000)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(deep, protocol)) is deep
+    # shared subterms are saved once: this term has 2**20 - 1 connectives
+    shared = p
+    for _ in range(20):
+        shared = And(shared, shared)
+    data = pickle.dumps(shared)
+    assert len(data) < 2_000 and pickle.loads(data) is shared
+
+
 # --- golden digests ----------------------------------------------------------
 #
 # SHA-256 digests of every rendering and of every parse result or error,
@@ -460,6 +472,9 @@ def test_a_copy_of_a_term_is_the_term():
 # None`: 329 cases changed, each in that phrase of the message alone.
 
 GOLDEN_RENDERINGS = "c114c74b97bd68226d6463b781cd11769e6d44c9dc08896971eb7df04841dbca"
+# The same for `large_rendering_digest`, taken from the printers that
+# rendered every term by recursion.
+GOLDEN_LARGE_RENDERINGS = "a42676df0e98be2587760ec6afd14517d37807eef8122930b05c516596769b22"
 GOLDEN_PARSES = "6507820db4bbf97656736d904e20f8a929b5dbad6851751a282bebe23aa53d13"
 
 ATOMS = ("p", "q", "r_1")  # the underscore exercises LaTeX escaping
@@ -482,6 +497,20 @@ def rendering_digest(count=1500) -> str:
         for m in (image, with_constants):
             lines += [macll_sequent_str(m), macll_sequent_latex(m)]
             lines += [g(f) for f in m.formulas for g in (formula_str, formula_latex)]
+        h.update(("\n".join(lines) + "\n").encode())
+    return h.hexdigest()
+
+
+def large_rendering_digest(count=150) -> str:
+    """Every term printer on seeded random categories of 20 to 160
+    connectives and their one-sided images with `p` replaced by a constant:
+    the printers write the larger of these with an explicit stack."""
+    h = hashlib.sha256()
+    rng = random.Random(23)
+    for _ in range(count):
+        c = random_category(rng, rng.randint(20, 160), ATOMS)
+        f = macll_substitute(hat_translate(c), p, rng.choice(CONSTANTS))
+        lines = [category_str(c), category_latex(c), formula_str(f), formula_latex(f)]
         h.update(("\n".join(lines) + "\n").encode())
     return h.hexdigest()
 
@@ -555,6 +584,21 @@ def parse_digest(count=1500) -> str:
 
 def test_renderings_match_the_golden_digest():
     assert rendering_digest() == GOLDEN_RENDERINGS
+
+
+def test_large_renderings_match_the_golden_digest():
+    assert large_rendering_digest() == GOLDEN_LARGE_RENDERINGS
+
+
+def test_deep_terms_print_and_parse_back():
+    for text in ("p" + "/p" * 30_000, "p" + "\\p" * 30_000, "p" + ".p" * 30_000):
+        term = parse_category(text)
+        assert category_str(term) == text
+        assert category_latex(term).count("p") == 30_001
+    text = "~p" + "*~p" * 30_000
+    formula = parse_formula(text)
+    assert formula_str(formula) == text
+    assert formula_latex(formula).count("bar") == 30_001
 
 
 def test_parses_and_parse_errors_match_the_golden_digest():
