@@ -634,8 +634,10 @@ def _parse_all(text: str, syntax: _Syntax):
 
 
 # The most connectives a term may have for the printers to render it by
-# recursion, which is faster on small terms; a larger one is written with
-# an explicit stack (`tree_pieces`), so a term of any depth prints.
+# recursion; a larger one is written with an explicit stack (`tree_pieces`),
+# so a term of any depth prints.  Recursion with f-strings prints a term of
+# a few connectives about three times as fast as any walk that builds a
+# list of pieces a node, and grammar set-up sorts many such terms by text.
 _SHALLOW = 32
 
 

@@ -111,22 +111,8 @@ def test_conjunctive_trees_match_the_golden_digest_and_replay():
 
 # --- the kernel against the demand-driven chart -------------------------------
 
-def test_kernel_matches_the_chart_on_random_grammars():
-    words = ["".join(c) for n in range(6) for c in itertools.product("ab", repeat=n)]
-    for seed in range(150):
-        g = random_conj_grammar(random.Random(seed))
-        recognizer = _Recognizer(g)
-        for w in words:
-            chart = _Chart(g, w)
-            table = recognizer.table(w)
-            for nt, k in recognizer.ids.items():
-                member = chart.derives(nt, 0, len(w))
-                assert (recognizer.fill(w, k) is not None) == member, (seed, nt, w)
-                # and every other span
-                for i in range(len(w) + 1):
-                    for j in range(i, len(w) + 1):
-                        assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
-                            (seed, nt, w, i, j)
+def words_up_to(n: int) -> list:
+    return ["".join(c) for k in range(n + 1) for c in itertools.product("ab", repeat=k)]
 
 
 def trailing_terminal_grammar(rng: random.Random):
@@ -141,14 +127,34 @@ def trailing_terminal_grammar(rng: random.Random):
     return conj_grammar("S", rules, terminals={"a", "b"})
 
 
-def test_chart_matches_the_kernel_on_bodies_ending_in_terminals():
-    """The chart matches a body's trailing terminals at the end of the span
-    and splits only its core; the kernel reads every item in turn."""
-    words = ["".join(c) for n in range(7) for c in itertools.product("ab", repeat=n)]
+def test_kernel_matches_the_chart_on_random_grammars():
+    """Every span of every short word, on seeded grammars as drawn and on
+    grammars whose bodies end in terminals, which the chart matches at the
+    end of the span before it splits the body's core."""
+    for grammar, seeds, words in ((random_conj_grammar, 150, words_up_to(5)),
+                                  (trailing_terminal_grammar, 120, words_up_to(6))):
+        for seed in range(seeds):
+            g = grammar(random.Random(seed))
+            recognizer = _Recognizer(g)
+            for w in words:
+                chart = _Chart(g, w)
+                table = recognizer.table(w)
+                for nt, k in recognizer.ids.items():
+                    member = chart.derives(nt, 0, len(w))
+                    assert (recognizer.fill(w, k) is not None) == member, (seed, nt, w)
+                    # and every other span
+                    for i in range(len(w) + 1):
+                        for j in range(i, len(w) + 1):
+                            assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
+                                (grammar.__name__, seed, nt, w, i, j)
+
+
+def test_trailing_terminals_follow_every_kind_of_core():
+    """The grammars above put a suffix after empty, nullable, unit and
+    cyclic cores."""
     cores = dict.fromkeys(("empty", "nullable", "unit", "cyclic"), 0)
     for seed in range(120):
-        g = trailing_terminal_grammar(random.Random(seed))
-        recognizer = _Recognizer(g)
+        recognizer = _Recognizer(trailing_terminal_grammar(random.Random(seed)))
         nullable = set(recognizer.nullable)
         for conjuncts in itertools.chain.from_iterable(recognizer.cores):
             for core, suffix in conjuncts:
@@ -157,14 +163,6 @@ def test_chart_matches_the_kernel_on_bodies_ending_in_terminals():
                     cores["nullable"] += bool(core) and nullable.issuperset(core)
                     cores["unit"] += len(core) == 1 and core[0] >= 0
                     cores["cyclic"] += any(item in recognizer.cyclic for item in core)
-        for w in words:
-            chart = _Chart(g, w)
-            table = recognizer.table(w)
-            for nt, k in recognizer.ids.items():
-                for i in range(len(w) + 1):
-                    for j in range(i, len(w) + 1):
-                        assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
-                            (seed, nt, w, i, j)
     assert all(cores.values()), cores
 
 
