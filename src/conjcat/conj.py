@@ -9,8 +9,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BudgetError, GrammarError, UndeclaredSymbolError,
-                     chart_too_deep)
+from .errors import BudgetError, GrammarError, UndeclaredSymbolError
 from .grammars import ConjGrammar, Rule, chart_index
 from .syntax import inference, separated, tree_pieces
 
@@ -134,6 +133,10 @@ class _Chart:
     The table maps `(nt, i, j)` (`nt` a nonterminal id) to True when `nt`
     derives `w[i:j]`, to None when it does not, and to `_PENDING` while
     the entry is being computed.
+
+    On a right-recursive grammar a query recurses about as deep as the
+    word is long, so a long enough word raises `RecursionError`;
+    `cg_member` then answers from the recognizer.
     """
 
     def __init__(self, g: ConjGrammar, w: str):
@@ -182,7 +185,12 @@ class _Chart:
         w = self.w
         for conjuncts in self.cores[nt]:
             for core, suffix in conjuncts:
-                if not (w.endswith(suffix, i, j) and self._splits(core, i, j - len(suffix))):
+                end = j
+                if suffix:
+                    if not w.endswith(suffix, i, j):
+                        break
+                    end -= len(suffix)
+                if not self._splits(core, i, end):
                     break
             else:
                 self.table[key] = True
@@ -244,9 +252,10 @@ class _Recognizer:
     letter sets (of nonempty derived words), the cyclic left-corner
     components, and, for each letter, the rules whose FIRST set holds it,
     grouped by component.  Categorial membership and every derivation
-    tree (`tree`) run on these tables; `cg_member` keeps `_Chart` until
+    tree (`tree`) run on these tables.  `cg_member` keeps `_Chart` until
     the benchmark's per-operation tally stops counting a faster chart as
-    more memory, and then moves here.
+    more memory, and asks here only when the chart's recursion overflows
+    the stack: no step here recurses, so no word overflows it.
     """
 
     def __init__(self, g: ConjGrammar):
@@ -554,13 +563,16 @@ def _checked_start(g: ConjGrammar, w: str, start: Optional[str]) -> str:
 
 
 def cg_member(g: ConjGrammar, w: str, start: Optional[str] = None) -> bool:
-    """Does the grammar derive `w` from `start` (default: the start symbol)?"""
+    """Does the grammar derive `w` from `start` (default: the start symbol)?
+    The answer comes from `_Chart`; when its recursion outgrows the stack,
+    from the grammar's `_Recognizer`, which does not recurse, so a word of
+    any length is answered."""
     start = _checked_start(g, w, start)
     chart = _Chart(g, w)
     try:
         return chart.derives(start, 0, len(w))
     except RecursionError:
-        raise chart_too_deep(w) from None
+        return chart.recognizer.fill(w, chart.recognizer.ids[start]) is not None
 
 
 def cg_derivation(g: ConjGrammar, w: str,

@@ -30,9 +30,3 @@ class BudgetError(RuntimeError):
     treat an exhausted search as "not derivable".
     """
 
-
-def chart_too_deep(w: str) -> BudgetError:
-    """The error for a chart whose recursion on `w` outgrew the stack: the
-    chart ran out of room, which says nothing about membership."""
-    return BudgetError(f"chart recursion exceeded the stack limit on a word "
-                       f"of length {len(w)}")

@@ -633,38 +633,19 @@ def _parse_all(text: str, syntax: _Syntax):
     return out
 
 
-# The most connectives a term may have for the printers to render it by
-# recursion; a larger one is written with an explicit stack (`tree_pieces`),
-# so a term of any depth prints.  Recursion with f-strings prints a term of
-# a few connectives about three times as fast as any walk that builds a
-# list of pieces a node, and grammar set-up sorts many such terms by text.
-_SHALLOW = 32
-
-
 def _text(node) -> str:
     """Minimal-parentheses rendering; parses back to an identical tree.
-    Operands are wrapped as `_TEXT_OPS` says."""
-    op = _TEXT_OPS.get(type(node))
-    if op is None:
-        return _leaf_text(node)
-    if node.size > _SHALLOW:
-        return "".join(tree_pieces(node, _text_pieces))
-    symbol, wrap_left, wrap_right = op
-    left, right = node.left, node.right
-    left_text, right_text = _text(left), _text(right)
-    if type(left) in wrap_left:
-        left_text = f"({left_text})"
-    if type(right) in wrap_right:
-        right_text = f"({right_text})"
-    return f"{left_text}{symbol}{right_text}"
+    Written with an explicit stack, so a term of any depth prints."""
+    return "".join(tree_pieces(node, _text_pieces))
 
 
 def _text_pieces(node) -> list:
-    """`node`'s text for `tree_pieces`: a small term in one piece, a larger
-    one as its operands around its symbol."""
-    if node.size <= _SHALLOW:
-        return [_text(node)]
-    symbol, wrap_left, wrap_right = _TEXT_OPS[type(node)]
+    """`node`'s text for `tree_pieces`: a leaf's text, or a binary node's
+    operands around its symbol, each wrapped as `_TEXT_OPS` says."""
+    op = _TEXT_OPS.get(type(node))
+    if op is None:
+        return [_leaf_text(node)]
+    symbol, wrap_left, wrap_right = op
     left, right = node.left, node.right
     pieces = ["(", left, ")", symbol] if type(left) in wrap_left else [left, symbol]
     pieces += ("(", right, ")") if type(right) in wrap_right else (right,)
@@ -673,19 +654,16 @@ def _text_pieces(node) -> list:
 
 def _latex(node) -> str:
     """Fully parenthesized LaTeX math rendering, written as `_text` is."""
-    op = _LATEX_OPS.get(type(node))
-    if op is None:
-        return _leaf_latex(node)
-    if node.size > _SHALLOW:
-        return "".join(tree_pieces(node, _latex_pieces))
-    return f"({_latex(node.left)}{op}{_latex(node.right)})"
+    return "".join(tree_pieces(node, _latex_pieces))
 
 
 def _latex_pieces(node) -> list:
-    """`node`'s LaTeX for `tree_pieces`, split as `_text_pieces` splits."""
-    if node.size <= _SHALLOW:
-        return [_latex(node)]
-    return ["(", node.left, _LATEX_OPS[type(node)], node.right, ")"]
+    """`node`'s LaTeX for `tree_pieces`: a leaf's, or a binary node's
+    operands around its operator, in parentheses."""
+    op = _LATEX_OPS.get(type(node))
+    if op is None:
+        return [_leaf_latex(node)]
+    return ["(", node.left, op, node.right, ")"]
 
 
 def _leaf_text(leaf) -> str:

@@ -76,6 +76,17 @@ def test_report_accepts_a_loss_within_its_bound():
     assert ab_bench.report("proof_search", runs, METRICS)[1] == []
 
 
+def test_report_marks_a_metric_whose_base_spreads_wider_than_its_bound():
+    # base quartiles 80 and 120: a spread of 40, above 25% of the median 100
+    runs = _runs([(60, 30), (100, 30), (140, 30)], [(100, 30)] * 3)
+    lines, rejects = ab_bench.report("cli_oneshot", runs, METRICS)
+    assert rejects == []
+    rate = next(line for line in lines if line.strip().startswith("group1_per_s"))
+    assert rate.split()[-1] == "unresolved"
+    rss = next(line for line in lines if line.strip().startswith("peak_rss_mb"))
+    assert rss.split()[-1] == "no"
+
+
 def test_report_rejects_a_larger_share_of_failures():
     base = [(100, 30, 100, 1)] * 2
     runs = _runs(base, [(100, 30, 100, 2)] * 2)

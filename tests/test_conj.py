@@ -13,7 +13,7 @@ from conjcat.conj import (CGDerivation, CGNode, _Chart, cg_derivation, cg_enumer
                           nullable_nonterminals, replay_derivation)
 from conjcat.ccg import ccg_member
 from conjcat.cvp import cvp_grammar
-from conjcat.errors import BudgetError, GrammarError, UndeclaredSymbolError
+from conjcat.errors import GrammarError, UndeclaredSymbolError
 from conjcat.fuzz import random_conj_grammar
 from conjcat.grammars import conj_grammar
 from conjcat.transforms import ccg_to_cg
@@ -142,14 +142,21 @@ def test_three_block_chart_work_grows_quadratically():
         assert many <= 4.5 * few, (extra, few, many)
 
 
-def test_chart_recursion_is_a_budget_error_not_a_no():
-    # The chart recurses about once a letter here, so a long enough word
-    # runs out of stack; that must not read as "not a member".
+def test_right_recursion_is_answered_without_recursion():
+    # The chart recurses about once a letter here, so a long word outgrows
+    # the stack; the recognizer, which does not recurse, then answers.
     g = conj_grammar("S", [("S", [["a", "S"]]), ("S", [["X"]]), ("X", [["b"]])],
                      terminals={"a", "b"})
-    with pytest.raises(BudgetError, match="length 4001"):
-        cg_member(g, "a" * 4000 + "b")
-    # The index was built before the chart recursed, and it still serves.
+    old_limit = sys.getrecursionlimit()
+    # a few frames above this one: any recursion through the word fails
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        assert cg_member(g, "a" * 4000 + "b")
+        assert cg_member(g, "a" * 20000 + "b")
+        assert not cg_member(g, "a" * 20000)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    # The index the recognizer answered from serves the next query too.
     assert "_chart_index" in vars(g)
     assert cg_member(g, "a" * 3000 + "b")
     assert not cg_member(g, "a" * 3000)

@@ -10,7 +10,10 @@ run BASE first and odd pairs CHANGE first, so that drift of the machine
 falls on both sides alike.  For each workload and each end-to-end metric
 it prints each side's median and quartiles, the ratio of the medians
 (CHANGE over BASE), the number of pairs CHANGE wins, and whether the
-medians differ by more than BASE's interquartile range.  Under
+medians differ by more than BASE's interquartile range.  That column
+reads `unresolved` when BASE's interquartile range is wider than the
+metric's bound times BASE's median: a metric whose own runs spread wider
+than its bound is unresolved, not unchanged.  Under
 `peak_rss_mb` it prints each side's median number of attempted
 operations, since the run keeps 8 bytes of timing a timed operation and
 a faster side completes more of them in the same time.  The direction
@@ -93,7 +96,7 @@ def report(workload: str, runs: dict, metrics: dict) -> tuple[list, list]:
     width = max([14, *map(len, metrics)])
     lines = [f"{workload}: {len(runs['base'])} pairs",
              f"  {'metric':<{width}} {'base median [q1, q3]':<32}"
-             f" {'change median [q1, q3]':<32} {'ratio':>6} {'wins':>6} {'> IQR':>6}"]
+             f" {'change median [q1, q3]':<32} {'ratio':>6} {'wins':>6} {'> IQR':>10}"]
     for metric, spec in metrics.items():
         base = [r["metrics"][metric]["value"] for r in runs["base"]]
         change = [r["metrics"][metric]["value"] for r in runs["change"]]
@@ -104,11 +107,14 @@ def report(workload: str, runs: dict, metrics: dict) -> tuple[list, list]:
         sign = 1 if spec["better"] == "higher" else -1
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         ratio = c2 / b2 if b2 else float("nan")
-        beyond = abs(c2 - b2) > b3 - b1
+        if "bound" in spec and b3 - b1 > spec["bound"] * abs(b2):
+            beyond = "unresolved"
+        else:
+            beyond = "yes" if abs(c2 - b2) > b3 - b1 else "no"
         base_text = f"{b2:.5g} [{b1:.5g}, {b3:.5g}]"
         change_text = f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
         lines.append(f"  {metric:<{width}} {base_text:<32} {change_text:<32} {ratio:>6.3f}"
-                     f" {wins:>3}/{len(base):<2} {'yes' if beyond else 'no':>6}")
+                     f" {wins:>3}/{len(base):<2} {beyond:>10}")
         if metric == "peak_rss_mb":
             base_ops, change_ops = (statistics.median(r["attempted"] for r in runs[side])
                                     for side in ("base", "change"))
