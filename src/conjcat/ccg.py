@@ -6,9 +6,11 @@ universe.  `ccg_translation` gives each universe category a nonterminal
 and each inference one conjunctive rule, so the two grammars have the
 same derivations; membership runs the conjunctive recognizer
 (`conj._Recognizer`) on the translation, without recursion.  A query
-costs one table over the word: O(n^2) bits per category, filled by
-bitmask operations, after a rejection in O(1) when the first or last
-letter cannot begin or end a word of the queried category.  A derivation
+costs one table over the word: O(n^2) bits per category reachable from
+the queried one, filled by bitmask operations compiled for the three
+shapes of translated rule (axiom, division, conjunction), after a
+rejection in O(1) when the first or last letter cannot begin or end a
+word of the queried category.  A derivation
 is the recognizer's tree (`_Recognizer.tree`) with categories for
 nonterminals: at each node the first translated rule that applies, with
 its leftmost split.  That is the axiom, conjunct introduction or the

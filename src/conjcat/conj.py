@@ -250,12 +250,21 @@ class _Recognizer:
     Everything that depends on the grammar alone is compiled here once:
     nonterminal ids, each head's rules, the nullable set, FIRST and LAST
     letter sets (of nonempty derived words), the cyclic left-corner
-    components, and, for each letter, the rules whose FIRST set holds it,
-    grouped by component.  Categorial membership and every derivation
-    tree (`tree`) run on these tables.  `cg_member` keeps `_Chart` until
-    the benchmark's per-operation tally stops counting a faster chart as
-    more memory, and asks here only when the chart's recursion overflows
-    the stack: no step here recurses, so no word overflows it.
+    components, and, for each letter, the plan of a start at that letter
+    (`steps`): the rules whose FIRST set holds it, each compiled by its
+    shape (`_compiled`).  An axiom `A -> 'a'` sets bit i + 1 of its head's
+    row before any component runs.  The other rules run grouped by
+    component, in dependency order: a division `A -> B C` ORs the rows of
+    `C` over the bits of `ends[B][i]`, one index when it has one bit; a
+    conjunction `A -> B & C & ...` of single nonterminals ANDs their rows
+    at i; any other rule runs the body loop above.  `fill` runs only the
+    rules of the nonterminals its goal reaches: a goal's plans are
+    restricted on its first query and kept in `goal_steps`.  Categorial
+    membership and every derivation tree (`tree`) run on these tables.
+    `cg_member` keeps `_Chart` until the benchmark's per-operation tally
+    stops counting a faster chart as more memory, and asks here only when
+    the chart's recursion overflows the stack: no step here recurses, so
+    no word overflows it.
     """
 
     def __init__(self, g: ConjGrammar):
@@ -300,34 +309,77 @@ class _Recognizer:
         # core and the string of the terminals that end it
         self.cores = [[tuple(_core_and_suffix(body, self.alphabet) for body in conjuncts)
                        for _, conjuncts in head_rules] for head_rules in self.by_head]
-        # plans[letter]: the steps of a start at that letter, each a
-        # (cyclic, rules) pair; adjacent acyclic components share a step
-        self.plans = []
+        # steps[letter]: the plan of a start at that letter, as its axioms'
+        # heads and its steps, each a (cyclic, rules) pair of compiled
+        # rules (`_compiled`); adjacent acyclic components share a step
+        compiled = [_compiled(head, conjuncts) for head, conjuncts in rules]
+        self.steps = []
         for letter in sorted(letters):
-            steps: list[tuple[bool, list]] = []
+            axioms, steps = [], []
             for comp in components:
                 cyclic = comp[0] in self.cyclic
-                chosen = [rules[k] for k in sorted(k for nt in comp for k, _ in self.by_head[nt])
-                          if letter in rule_first[k]]
+                chosen = []
+                for k in sorted(k for nt in comp for k, _ in self.by_head[nt]):
+                    if letter not in rule_first[k]:
+                        continue
+                    if compiled[k][0] == _AXIOM:
+                        axioms.append(compiled[k][1])
+                    else:
+                        chosen.append(compiled[k])
                 if not chosen:
                     continue
                 if steps and not cyclic and not steps[-1][0]:
                     steps[-1][1].extend(chosen)
                 else:
                     steps.append((cyclic, chosen))
-            self.plans.append(tuple((cyclic, tuple(chosen)) for cyclic, chosen in steps))
+            self.steps.append((tuple(axioms), tuple((cyclic, tuple(chosen))
+                                                    for cyclic, chosen in steps)))
+        # by goal id: `steps` restricted to the rules the goal reaches
+        self.goal_steps: dict[int, list] = {}
 
     def fill(self, w: str, goal: int) -> Optional[list[list[int]]]:
-        """The finished table of `w` when nonterminal `goal` derives it,
-        else None.  Every letter of `w` must be a terminal."""
+        """The table of `w` when nonterminal `goal` derives it, else None.
+        Only the rules of the nonterminals `goal` reaches run, so only
+        their rows are exact.  Every letter of `w` must be a terminal."""
         n = len(w)
         if n and (w[0] not in self.first[goal] or w[-1] not in self.last[goal]):
             return None
-        ends = self.table(w)
+        steps = self.goal_steps.get(goal)
+        if steps is None:
+            # threads racing on a goal's first query may each compile its
+            # steps; `setdefault` hands all of them the first one stored
+            steps = self.goal_steps.setdefault(goal, self._restricted(goal))
+        ends = self._run(w, steps)
         return ends if ends[goal][0] >> n & 1 else None
 
     def table(self, w: str) -> list[list[int]]:
         """`ends[A][i]` for every nonterminal id `A` and start `i` of `w`."""
+        return self._run(w, self.steps)
+
+    def _restricted(self, goal: int) -> list:
+        """`steps` without the rules of nonterminals that `goal` does not
+        reach; a step left without rules is dropped."""
+        reached = {goal}
+        pending = [goal]
+        while pending:
+            for _, conjuncts in self.by_head[pending.pop()]:
+                for body in conjuncts:
+                    for item in body:
+                        if item >= 0 and item not in reached:
+                            reached.add(item)
+                            pending.append(item)
+        out = []
+        for axioms, steps in self.steps:
+            kept = []
+            for cyclic, rules in steps:
+                rules = tuple(rule for rule in rules if rule[1] in reached)
+                if rules:
+                    kept.append((cyclic, rules))
+            out.append((tuple(head for head in axioms if head in reached), tuple(kept)))
+        return out
+
+    def _run(self, w: str, plans: list) -> list[list[int]]:
+        """The table of `w` under `plans`, `steps` or a goal's restriction."""
         n = len(w)
         ends = [[0] * (n + 1) for _ in self.ids]
         for nt in self.nullable:
@@ -337,33 +389,55 @@ class _Recognizer:
         masks = [0] * len(letters)
         for p, code in enumerate(codes):
             masks[code] |= 2 << p
-        plans = self.plans
         for i in range(n - 1, -1, -1):
             start = 1 << i
-            for cyclic, rules in plans[codes[i]]:
+            axioms, steps = plans[codes[i]]
+            for head in axioms:
+                ends[head][i] |= start << 1
+            for cyclic, rules in steps:
                 grew = True
                 while grew:
                     grew = False
-                    for head, conjuncts in rules:
-                        got = -1
-                        for body in conjuncts:
-                            reach = start
-                            for item in body:
-                                if item < 0:
-                                    reach = (reach << 1) & masks[~item]
-                                else:
-                                    row = ends[item]
-                                    acc = 0
-                                    while reach:
-                                        low = reach & -reach
-                                        acc |= row[low.bit_length() - 1]
-                                        reach ^= low
-                                    reach = acc
-                                if not reach:
+                    for shape, head, x, y in rules:
+                        if shape == _DIVISION:
+                            reach = ends[x][i]
+                            if not reach:
+                                continue
+                            row = ends[y]
+                            if reach & (reach - 1):
+                                got = 0
+                                while reach:
+                                    low = reach & -reach
+                                    got |= row[low.bit_length() - 1]
+                                    reach ^= low
+                            else:
+                                got = row[reach.bit_length() - 1]
+                        elif shape == _CONJUNCTION:
+                            got = -1
+                            for member in x:
+                                got &= ends[member][i]
+                                if not got:
                                     break
-                            got &= reach
-                            if not got:
-                                break
+                        else:
+                            got = -1
+                            for body in x:
+                                reach = start
+                                for item in body:
+                                    if item < 0:
+                                        reach = (reach << 1) & masks[~item]
+                                    else:
+                                        row = ends[item]
+                                        acc = 0
+                                        while reach:
+                                            low = reach & -reach
+                                            acc |= row[low.bit_length() - 1]
+                                            reach ^= low
+                                        reach = acc
+                                    if not reach:
+                                        break
+                                got &= reach
+                                if not got:
+                                    break
                         if got:
                             row = ends[head]
                             if got & ~row[i]:
@@ -457,6 +531,25 @@ class _Recognizer:
             return walk(0, i)
         finally:
             del walk  # the closure refers to itself; leave no cycle behind
+
+
+# The shapes of a compiled rule (`_compiled`).
+_AXIOM, _DIVISION, _CONJUNCTION, _GENERIC = range(4)
+
+
+def _compiled(head: int, conjuncts: tuple[tuple[int, ...], ...]) -> tuple:
+    """A rule as `(shape, head, x, y)`: an axiom `A -> 'a'` with x the
+    letter's item, a division `A -> B C` with x = B and y = C, a
+    conjunction `A -> B & C & ...` of single nonterminals with x their
+    tuple, and any other rule with x its conjuncts."""
+    body = conjuncts[0]
+    if len(conjuncts) == 1 and len(body) == 1 and body[0] < 0:
+        return _AXIOM, head, body[0], None
+    if len(conjuncts) == 1 and len(body) == 2 and min(body) >= 0:
+        return _DIVISION, head, body[0], body[1]
+    if all(len(body) == 1 and body[0] >= 0 for body in conjuncts):
+        return _CONJUNCTION, head, tuple(body[0] for body in conjuncts), None
+    return _GENERIC, head, conjuncts, None
 
 
 def _core_and_suffix(body: tuple[int, ...], alphabet: list[str]) -> tuple[tuple[int, ...], str]:

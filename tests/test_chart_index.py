@@ -10,11 +10,17 @@ import pytest
 import conjcat.ccg as ccg_mod
 import conjcat.conj as conj_mod
 import conjcat.samples as samples
-from conjcat.ccg import ccg_derive, ccg_member, replay_derivation
+from conjcat.ccg import ccg_derive, ccg_member, ccg_universe, replay_derivation
 from conjcat.conj import cg_derivation, cg_member
 from conjcat.fileformat import dumps_grammar, load_grammar
+from conjcat.syntax import category_str
 
 WORDS = ["".join(p) for n in range(1, 7) for p in itertools.product("abc", repeat=n)]
+# the words whose derivations the threads compare, from every category:
+# length 1..3, and every substring of a member
+MEMBER = "baacaacaa"
+TREE_WORDS = WORDS[:39] + sorted({MEMBER[i:j] for i in range(len(MEMBER))
+                                  for j in range(i + 4, len(MEMBER) + 1)})
 
 
 @pytest.fixture()
@@ -76,18 +82,29 @@ def test_equal_grammar_objects_give_equal_answers(grammar_files):
 
 
 def test_threads_share_one_grammar_from_its_first_query(grammar_files):
+    """Four threads query fresh grammar objects at once, so they build the
+    shared index together and compile each category's recognizer steps
+    together; every answer and derivation is the serial one."""
     ccg_path, cg_path = grammar_files
     serial_ccg, serial_cg = load_grammar(ccg_path), load_grammar(cg_path)
+    categories = sorted(ccg_universe(serial_ccg), key=category_str)
     expected = [(ccg_member(serial_ccg, w), cg_member(serial_cg, w)) for w in WORDS]
-    shared_ccg, shared_cg = load_grammar(ccg_path), load_grammar(cg_path)
+    expected_trees = [ccg_derive(serial_ccg, cat, w) for cat in categories for w in TREE_WORDS]
+    shared_ccg, shared_cg, trees_ccg = (load_grammar(ccg_path), load_grammar(cg_path),
+                                        load_grammar(ccg_path))
     assert "_chart_index" not in vars(shared_ccg)
     assert "_chart_index" not in vars(shared_cg)
+    assert "_chart_index" not in vars(trees_ccg)
     start = threading.Barrier(4)
     results = [None] * 4
+    trees = [None] * 4
 
     def work(slot):
         start.wait(timeout=30)
-        # each thread walks the words from its own offset
+        # each thread walks the categories and the words from its own offset
+        cats = categories[slot * 4:] + categories[:slot * 4]
+        got_trees = {(cat, w): ccg_derive(trees_ccg, cat, w) for cat in cats for w in TREE_WORDS}
+        trees[slot] = [got_trees[cat, w] for cat in categories for w in TREE_WORDS]
         order = WORDS[slot * 7:] + WORDS[:slot * 7]
         got = {w: (ccg_member(shared_ccg, w), cg_member(shared_cg, w)) for w in order}
         results[slot] = [got[w] for w in WORDS]
@@ -104,3 +121,5 @@ def test_threads_share_one_grammar_from_its_first_query(grammar_files):
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 4
+    assert trees == [expected_trees] * 4
+    assert sum(tree is not None for tree in expected_trees) == 26

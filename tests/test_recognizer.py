@@ -14,14 +14,15 @@ from hypothesis import assume, given, settings
 import conjcat.samples as samples
 from conjcat.ccg import (ccg_derive, ccg_enumerate, ccg_languages, ccg_member,
                          ccg_universe, replay_derivation)
-from conjcat.conj import _Chart, _Recognizer, cg_derivation, cg_member
+from conjcat.conj import (_CONJUNCTION, _DIVISION, _GENERIC, _Chart, _Recognizer,
+                          cg_derivation, cg_member)
 from conjcat.conj import replay_derivation as conj_replay
 from conjcat.cvp import cvp_grammar, encode_circuit, enumerate_circuits
 from conjcat.fileformat import dumps_grammar
 from conjcat.fuzz import random_conj_grammar
 from conjcat.grammars import ccg, conj_grammar
 from conjcat.prover import SearchCache, lambek_member
-from conjcat.syntax import LDiv, Prim, RDiv, category_str, make_conjunct
+from conjcat.syntax import LDiv, Prim, RDiv, category_str, make_conjunct, parse_category
 from conjcat.transforms import bundle_to_ccg, ccg_to_cg, ccg_to_malc
 
 from helpers import indented
@@ -127,26 +128,105 @@ def trailing_terminal_grammar(rng: random.Random):
     return conj_grammar("S", rules, terminals={"a", "b"})
 
 
+# Three small CCGs drawn as `small_ccgs` draws them, whose translations
+# have divisions and conjunctions inside same-start cycles.
+SMALL_CCGS = (
+    (("b", "p"), ("a", r"(p&q)\q"), ("b", "q"), ("b", "s")),
+    (("b", "p/(p&s)"), ("a", "s"), ("a", r"(s&q)\(p/(p&q))"), ("b", r"p\(s/p)"),
+     ("a", r"(s&p)\(q/q)")),
+    (("b", "p"), ("b", "s/(p&s)"), ("a", r"p\q"), ("b", r"(s&q)\(p&s)\s"), ("b", "s"),
+     ("a", "s")))
+
+
+def kernel_cases():
+    """(name, grammar, words): seeded grammars as drawn, grammars whose
+    bodies end in terminals, and the translations of the three-block CCGs
+    and of `SMALL_CCGS`."""
+    for seed in range(150):
+        yield f"random {seed}", random_conj_grammar(random.Random(seed)), words_up_to(5)
+    for seed in range(120):
+        yield f"trailing {seed}", trailing_terminal_grammar(random.Random(seed)), words_up_to(6)
+    for name, g, max_len in (("three-block ccg", samples.three_block_ccg(), 5),
+                             ("bundle ccg", bundle_to_ccg(samples.three_block_bundle()), 4)):
+        yield name, ccg_to_cg(g), list(words_over("abc", 0, max_len))
+    for k, axioms in enumerate(SMALL_CCGS):
+        g = ccg("s", [(parse_category(text), letter) for letter, text in axioms])
+        yield f"small ccg {k}", ccg_to_cg(g), words_up_to(6)
+
+
+def reached(g, start: str) -> set:
+    """`start` and the nonterminals its rules' bodies reach."""
+    out, pending = {start}, [start]
+    while pending:
+        nt = pending.pop()
+        for rule in g.rules:
+            if rule.head == nt:
+                for sym in itertools.chain.from_iterable(rule.conjuncts):
+                    if sym in g.nonterminals and sym not in out:
+                        out.add(sym)
+                        pending.append(sym)
+    return out
+
+
 def test_kernel_matches_the_chart_on_random_grammars():
-    """Every span of every short word, on seeded grammars as drawn and on
+    """Every span of every short word, on seeded grammars as drawn, on
     grammars whose bodies end in terminals, which the chart matches at the
-    end of the span before it splits the body's core."""
-    for grammar, seeds, words in ((random_conj_grammar, 150, words_up_to(5)),
-                                  (trailing_terminal_grammar, 120, words_up_to(6))):
-        for seed in range(seeds):
-            g = grammar(random.Random(seed))
-            recognizer = _Recognizer(g)
-            for w in words:
-                chart = _Chart(g, w)
-                table = recognizer.table(w)
-                for nt, k in recognizer.ids.items():
-                    member = chart.derives(nt, 0, len(w))
-                    assert (recognizer.fill(w, k) is not None) == member, (seed, nt, w)
-                    # and every other span
-                    for i in range(len(w) + 1):
-                        for j in range(i, len(w) + 1):
-                            assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
-                                (grammar.__name__, seed, nt, w, i, j)
+    end of the span before it splits the body's core, and on categorial
+    translations; and a goal's table, filled only by the rules the goal
+    reaches, on every row it reaches."""
+    for name, g, words in kernel_cases():
+        recognizer = _Recognizer(g)
+        rows = {k: [recognizer.ids[nt] for nt in reached(g, nt)]
+                for nt, k in recognizer.ids.items()}
+        for w in words:
+            chart = _Chart(g, w)
+            table = recognizer.table(w)
+            for nt, k in recognizer.ids.items():
+                member = chart.derives(nt, 0, len(w))
+                ends = recognizer.fill(w, k)
+                assert (ends is not None) == member, (name, nt, w)
+                if ends is not None:
+                    assert all(ends[r] == table[r] for r in rows[k]), (name, nt, w)
+                # and every other span
+                for i in range(len(w) + 1):
+                    for j in range(i, len(w) + 1):
+                        assert (table[k][i] >> j & 1) == chart.derives(nt, i, j), \
+                            (name, nt, w, i, j)
+
+
+def test_kernel_cases_meet_every_compiled_shape():
+    """The cases above run each shape of compiled rule both in a step that
+    repeats to a fixpoint and in one that runs once; an axiom is hoisted
+    out of the steps, so it counts by its head."""
+    shapes = {(shape, cyclic): 0 for shape in ("axiom", "division", "conjunction", "generic")
+              for cyclic in (False, True)}
+    names = {_DIVISION: "division", _CONJUNCTION: "conjunction", _GENERIC: "generic"}
+    for _, g, _ in kernel_cases():
+        recognizer = _Recognizer(g)
+        for axioms, steps in recognizer.steps:
+            for head in axioms:
+                shapes["axiom", head in recognizer.cyclic] += 1
+            for cyclic, rules in steps:
+                for rule in rules:
+                    shapes[names[rule[0]], cyclic] += 1
+    assert all(shapes.values()), shapes
+
+
+def test_a_goal_compiles_only_the_rules_it_reaches():
+    """On the bundle's CCG, whose 71 categories include 40 that reach only
+    themselves, each goal's steps hold exactly the rules of the
+    nonterminals it reaches."""
+    g = ccg_to_cg(bundle_to_ccg(samples.three_block_bundle()))
+    recognizer = _Recognizer(g)
+    alone = 0
+    for nt, k in recognizer.ids.items():
+        plans = recognizer._restricted(k)
+        heads = {head for axioms, _ in plans for head in axioms}
+        heads |= {rule[1] for _, steps in plans for _, rules in steps for rule in rules}
+        rows = {recognizer.ids[other] for other in reached(g, nt)}
+        assert heads == {head for head in rows if recognizer.by_head[head]}, nt
+        alone += rows == {k}
+    assert len(recognizer.ids) == 71 and alone == 40
 
 
 def test_trailing_terminals_follow_every_kind_of_core():
@@ -168,11 +248,16 @@ def test_trailing_terminals_follow_every_kind_of_core():
 
 def test_chart_matches_the_kernel_on_long_words():
     """Members of length about 200 of three grammars with bodies that end
-    in terminals, and near misses: one block a letter longer or shorter,
-    a letter more or less at the end."""
-    cases = [(samples.three_block_conj(), lambda x, y, z: f"b{'a' * x}c{'a' * y}c{'a' * z}", 66),
+    in terminals and of a categorial translation, whose divisions reach
+    many end points at once, and near misses: one block a letter longer
+    or shorter, a letter more or less at the end."""
+    def three(x, y, z):
+        return f"b{'a' * x}c{'a' * y}c{'a' * z}"
+
+    cases = [(samples.three_block_conj(), three, 66),
              (samples.two_block_cfg(), lambda x, y, z: f"b{'a' * x}c{'a' * y}", 99),
-             (samples.three_block_quotient(), lambda x, y, z: f"{'a' * x}c{'a' * y}c{'a' * z}", 66)]
+             (samples.three_block_quotient(), lambda x, y, z: f"{'a' * x}c{'a' * y}c{'a' * z}", 66),
+             (ccg_to_cg(samples.three_block_ccg()), three, 66)]
     for g, blocks, n in cases:
         recognizer = _Recognizer(g)
         goal = recognizer.ids[g.start]
