@@ -105,10 +105,8 @@ def _cmd_prove(args) -> int:
     budget = _budget(args)
     if args.calculus == "MACLL":
         tree = prove_macll(parse_macll_sequent(args.sequent), budget=budget)
-    elif args.calculus in CALCULI:
-        tree = prove(args.calculus, parse_sequent(args.sequent), budget=budget)
     else:
-        raise ParseError(f"unknown calculus {args.calculus!r}")
+        tree = prove(args.calculus, parse_sequent(args.sequent), budget=budget)
     payload = {"derivable": False, "sequent": args.sequent}
     text = ("derivable" if tree is not None else "not derivable") + "\n"
     if tree is not None and args.output == "latex":
@@ -118,7 +116,15 @@ def _cmd_prove(args) -> int:
     return _answer(args, tree is not None, payload, text)
 
 
-_TRANSLATIONS = ("cg", "ccg", "malc", "malc-empty", "malc-disj", "malc-disj-empty")
+# `translate --to` targets, in the order `--help` lists them.
+_TRANSLATE_TO = {
+    "cg": transforms.ccg_to_cg,
+    "ccg": lambda g: g,
+    "malc": transforms.ccg_to_malc,
+    "malc-empty": lambda g: transforms.add_empty_string(transforms.ccg_to_malc(g)),
+    "malc-disj": transforms.to_disjunction_grammar,
+    "malc-disj-empty": lambda g: transforms.to_disjunction_grammar(g, include_empty=True),
+}
 
 
 def _cmd_translate(args) -> int:
@@ -128,19 +134,7 @@ def _cmd_translate(args) -> int:
         grammar = load_grammar(args.grammar)
         if not isinstance(grammar, CCG):
             raise GrammarError("translate --from ccg needs a categorial grammar file")
-    if args.to == "ccg":
-        out = grammar
-    elif args.to == "cg":
-        out = transforms.ccg_to_cg(grammar)
-    elif args.to == "malc":
-        out = transforms.ccg_to_malc(grammar)
-    elif args.to == "malc-empty":
-        out = transforms.add_empty_string(transforms.ccg_to_malc(grammar))
-    elif args.to == "malc-disj":
-        out = transforms.to_disjunction_grammar(grammar)
-    else:
-        out = transforms.to_disjunction_grammar(grammar, include_empty=True)
-    _emit(args, dumps_grammar(out))
+    _emit(args, dumps_grammar(_TRANSLATE_TO[args.to](grammar)))
     return 0
 
 
@@ -167,28 +161,28 @@ def _cmd_check_odd_form(args) -> int:
                    str(report) + "\n")
 
 
-def _cmd_cvp(args) -> int:
-    if args.action == "eval":
-        circuit = cvp_mod.parse_circuit(args.circuit)
-        value = cvp_mod.eval_circuit(circuit)
-        return _answer(args, value == 1, {"circuit": cvp_mod.circuit_str(circuit),
-                                          "value": value}, f"{value}\n")
-    if args.action == "encode":
-        circuit = cvp_mod.parse_circuit(args.circuit)
-        encoded = cvp_mod.encode_circuit(circuit)
-        return _answer(args, True, {"circuit": cvp_mod.circuit_str(circuit),
-                                    "encoding": encoded}, encoded + "\n")
-    if args.action == "member":
-        pattern = args.circuit
-        if "?" in pattern:
-            max_check = (cvp_mod.DEFAULT_CSP_BUDGET if args.budget is None
-                         else args.budget)
-            member = cvp_mod.csp_member(pattern, max_check=max_check)
-        else:
-            member = cg_member(cvp_mod.cvp_grammar(), pattern)
-        return _answer(args, member, {"pattern": pattern, "member": member},
-                       ("member" if member else "not a member") + "\n")
-    return _cmd_cvp_fuzz(args)
+def _cmd_cvp_eval(args) -> int:
+    circuit = cvp_mod.parse_circuit(args.circuit)
+    value = cvp_mod.eval_circuit(circuit)
+    return _answer(args, value == 1, {"circuit": cvp_mod.circuit_str(circuit),
+                                      "value": value}, f"{value}\n")
+
+
+def _cmd_cvp_encode(args) -> int:
+    circuit = cvp_mod.parse_circuit(args.circuit)
+    encoded = cvp_mod.encode_circuit(circuit)
+    return _answer(args, True, {"circuit": cvp_mod.circuit_str(circuit),
+                                "encoding": encoded}, encoded + "\n")
+
+
+def _cmd_cvp_member(args) -> int:
+    pattern = args.pattern
+    if "?" in pattern:
+        member = cvp_mod.csp_member(pattern, max_check=args.budget)
+    else:
+        member = cg_member(cvp_mod.cvp_grammar(), pattern)
+    return _answer(args, member, {"pattern": pattern, "member": member},
+                   ("member" if member else "not a member") + "\n")
 
 
 def _cmd_cvp_fuzz(args) -> int:
@@ -228,15 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     search_budget = f"search budget (default from ${BUDGET_ENV} or {DEFAULT_BUDGET})"
 
-    def common(p, outputs=("text", "json", "latex"), budget=search_budget):
+    def common(p, outputs=("text", "json", "latex"), search=True):
         """The options a subcommand reads: `--out`, `--output` when it
-        has more than one format, and `--budget`, described by `budget`,
-        when it searches."""
+        has more than one format, and `--budget` when it searches."""
         if outputs:
             p.add_argument("--output", choices=outputs, default="text")
         p.add_argument("--out", help="write the result to a file instead of stdout")
-        if budget:
-            p.add_argument("--budget", type=_nonnegative_int, default=None, help=budget)
+        if search:
+            p.add_argument("--budget", type=_nonnegative_int, default=None, help=search_budget)
 
     p = sub.add_parser("member", help="grammar membership for one string")
     p.add_argument("--grammar", required=True)
@@ -259,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="grammar-to-grammar constructions")
     p.add_argument("--from", dest="source", choices=("ccg", "bundle"), required=True)
-    p.add_argument("--to", choices=_TRANSLATIONS, required=True)
+    p.add_argument("--to", choices=_TRANSLATE_TO, required=True)
     p.add_argument("--grammar", required=True)
-    common(p, outputs=(), budget=None)
+    common(p, outputs=(), search=False)
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("enumerate", help="all members up to a length bound")
@@ -273,22 +266,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-odd-form", aliases=["check-odd-normal-form"],
                        help="check the three permitted rule shapes")
     p.add_argument("--grammar", required=True)
-    common(p, outputs=("text", "json"), budget=None)
+    common(p, outputs=("text", "json"), search=False)
     p.set_defaults(func=_cmd_check_odd_form)
 
-    p = sub.add_parser("cvp", help="sequential-NOR circuit workbench")
-    p.add_argument("action", choices=("encode", "eval", "member", "fuzz"))
-    p.add_argument("circuit", nargs="?", default="",
-                   help="circuit literal (encode/eval) or encoding/pattern (member)")
+    actions = sub.add_parser("cvp", help="sequential-NOR circuit workbench").add_subparsers(
+        dest="action", required=True)
+    for action, func, help_ in (("encode", _cmd_cvp_encode, "the circuit's encoding"),
+                                ("eval", _cmd_cvp_eval, "the circuit's value")):
+        p = actions.add_parser(action, help=help_)
+        p.add_argument("circuit", help="circuit literal")
+        common(p, outputs=("text", "json"), search=False)
+        p.set_defaults(func=func)
+
+    p = actions.add_parser("member", help="membership in the circuit grammar")
+    p.add_argument("pattern", help="an encoding, or a pattern over ?ab")
+    p.add_argument("--budget", type=_nonnegative_int, default=cvp_mod.DEFAULT_CSP_BUDGET,
+                   help=f"the most preimages to check (default {cvp_mod.DEFAULT_CSP_BUDGET}; "
+                        f"${BUDGET_ENV} is not read)")
+    common(p, outputs=("text", "json"), search=False)
+    p.set_defaults(func=_cmd_cvp_member)
+
+    p = actions.add_parser("fuzz", help="check the circuit grammar against evaluation")
     p.add_argument("--max-gates", type=int, default=4)
     p.add_argument("--max-inputs", type=int, default=2)
     p.add_argument("--seed", type=int, default=None,
                    help="also fuzz random larger circuits, reproducibly")
     p.add_argument("--samples", type=_nonnegative_int, default=25)
-    common(p, outputs=("text", "json"),
-           budget=f"member: the most preimages to check (default "
-                  f"{cvp_mod.DEFAULT_CSP_BUDGET}; ${BUDGET_ENV} is not read)")
-    p.set_defaults(func=_cmd_cvp)
+    common(p, outputs=("text", "json"), search=False)
+    p.set_defaults(func=_cmd_cvp_fuzz)
 
     return parser
 

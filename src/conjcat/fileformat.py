@@ -35,39 +35,55 @@ Grammar = Union[ConjGrammar, CCG, LambekGrammar]
 
 _HEADER_RE = re.compile(r"^(kind|terminals|start|target|calculus|alphabet|eps)\s*:\s*(.*)$")
 _QUOTED_RE = re.compile(r"^'([^'])'$")
+_BLOCK_RE = re.compile(r"^quotient\s+(\S+)\s*\{$")
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0]
+def _read(text: str):
+    """Header pairs, `;`-terminated statements and quotient blocks, in file
+    order.  A line `quotient X {` opens a block, read like a file of its
+    own up to a line `}`; blocks come back as `{letter: (headers, statements)}`."""
+    lines = iter(text.splitlines())
+    blocks: dict[str, tuple] = {}
 
-
-def _split_statements(lines: list[str]):
-    """Header pairs and `;`-terminated statements, in file order."""
-    headers: dict[str, str] = {}
-    statements: list[str] = []
-    buffer = ""
-    for line in lines:
-        text = _strip_comment(line).strip()
-        if not text:
-            continue
-        if not buffer:
-            m = _HEADER_RE.match(text)
-            if m and ";" not in text:
-                key, value = m.group(1), m.group(2).strip()
-                if key in headers:
-                    raise ParseError(f"duplicate header {key!r}")
-                headers[key] = value
+    def section(in_block: bool):
+        headers, statements, buffer = {}, [], ""
+        for line in lines:
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
                 continue
-        buffer = f"{buffer} {text}".strip()
-        while ";" in buffer:
-            statement, _, buffer = buffer.partition(";")
-            statement = statement.strip()
-            if statement:
-                statements.append(statement)
-            buffer = buffer.strip()
-    if buffer:
-        raise ParseError(f"statement missing its ';': {buffer!r}")
-    return headers, statements
+            if in_block and stripped == "}":
+                break
+            if not buffer:
+                m = _HEADER_RE.match(stripped)
+                if m and ";" not in stripped:
+                    key, value = m.group(1), m.group(2).strip()
+                    if key in headers:
+                        raise ParseError(f"duplicate header {key!r}")
+                    headers[key] = value
+                    continue
+                m = None if in_block else _BLOCK_RE.match(stripped)
+                if m:
+                    letter = _symbol_token(m.group(1))
+                    if letter in blocks:
+                        raise ParseError(f"duplicate quotient block for {letter!r}")
+                    blocks[letter] = section(in_block=True)
+                    continue
+            buffer = f"{buffer} {stripped}".strip()
+            while ";" in buffer:
+                statement, _, buffer = buffer.partition(";")
+                statement = statement.strip()
+                if statement:
+                    statements.append(statement)
+                buffer = buffer.strip()
+        else:
+            if in_block:
+                raise ParseError("quotient block missing its closing '}'")
+        if buffer:
+            raise ParseError(f"statement missing its ';': {buffer!r}")
+        return headers, statements
+
+    headers, statements = section(in_block=False)
+    return headers, statements, blocks
 
 
 def _symbol_token(token: str) -> str:
@@ -173,8 +189,13 @@ def _parse_lambek(headers, statements) -> LambekGrammar:
 
 
 def loads_grammar(text: str) -> Grammar:
-    headers, statements = _split_statements(text.splitlines())
+    headers, statements, blocks = _read(text)
     kind = headers.get("kind")
+    if kind == "bundle":
+        raise ParseError("kind 'bundle' is a quotient bundle, not a grammar; "
+                         "translate --from bundle reads it")
+    if blocks:
+        raise ParseError(f"quotient blocks belong in bundle files, not kind {kind!r}")
     if kind == "cg":
         return _parse_cg(headers, statements)
     if kind in ("ccg", "bcg"):
@@ -228,43 +249,14 @@ def dump_grammar(g: Grammar, path):
 # ---------------------------------------------------------------------------
 
 def loads_bundle(text: str) -> QuotientBundle:
-    lines = text.splitlines()
-    headers: dict[str, str] = {}
-    quotients = {}
-    i = 0
-    while i < len(lines):
-        stripped = _strip_comment(lines[i]).strip()
-        i += 1
-        if not stripped:
-            continue
-        m = re.match(r"^quotient\s+(\S+)\s*\{$", stripped)
-        if m:
-            letter = _symbol_token(m.group(1))
-            if letter in quotients:
-                raise ParseError(f"duplicate quotient block for {letter!r}")
-            block = []
-            while i < len(lines):
-                inner = _strip_comment(lines[i]).strip()
-                i += 1
-                if inner == "}":
-                    break
-                block.append(inner)
-            else:
-                raise ParseError("quotient block missing its closing '}'")
-            inner_headers, inner_statements = _split_statements(block)
-            quotients[letter] = _parse_cg(inner_headers, inner_statements)
-            continue
-        m = _HEADER_RE.match(stripped)
-        if m:
-            if m.group(1) in headers:
-                raise ParseError(f"duplicate header {m.group(1)!r}")
-            headers[m.group(1)] = m.group(2).strip()
-            continue
-        raise ParseError(f"unexpected bundle line: {stripped!r}")
+    headers, statements, blocks = _read(text)
     if headers.get("kind") != "bundle":
         raise ParseError("bundle file needs kind: bundle")
+    if statements:
+        raise ParseError(f"bundle rules go inside quotient blocks: {statements[0]!r}")
     if "alphabet" not in headers:
         raise ParseError("bundle file needs an alphabet: header")
+    quotients = {letter: _parse_cg(*block) for letter, block in blocks.items()}
     alphabet = tuple(headers["alphabet"].split())
     eps = {letter: True for letter in headers.get("eps", "").split()}
     return QuotientBundle(alphabet, quotients, eps)

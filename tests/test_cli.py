@@ -48,6 +48,9 @@ def test_member_on_a_malformed_grammar_file_is_an_input_error(capsys, tmp_path):
     path.write_text("kind: cg\nstart: S\nS -> a | ;\n")
     code, out, err = run(capsys, "member", "--grammar", str(path), "")
     assert code == 2 and out == "" and "empty body" in err
+    path.write_text(dumps_bundle(samples.three_block_bundle()))
+    code, out, err = run(capsys, "member", "--grammar", str(path), "bac")
+    assert code == 2 and out == "" and "kind 'bundle' is a quotient bundle" in err
 
 
 def test_member_cg_and_latex(capsys, three_block_cg_file):
@@ -188,13 +191,19 @@ def test_check_odd_form(capsys, tmp_path, three_block_cg_file):
     ["check-odd-form", "--output", "latex"],
     ["check-odd-form", "--budget", "5"],
     ["cvp", "eval", "in:0 nor:1 nor:1", "--output", "latex"],
+    ["cvp", "eval", "in:0", "--budget", "1"],
+    ["cvp", "encode", "in:0", "--seed", "1"],
+    ["cvp", "member", "b?", "--max-gates", "3"],
+    ["cvp", "fuzz", "--budget", "1"],
+    ["cvp", "fuzz", "extra"],
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, three_block_cg_file,
                                                              argv):
+    """Each `cvp` action, too, takes only the options and positionals it reads."""
     if argv[0] != "cvp":
         argv += ["--grammar", three_block_cg_file]
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and err.startswith("usage:")
     assert "unrecognized arguments" in err or "invalid choice" in err
 
 
@@ -250,10 +259,10 @@ def test_budget_zero_is_honoured_and_negative_rejected(capsys, monkeypatch):
 
 
 def test_budget_help_names_what_each_subcommand_reads(capsys):
-    """`cvp` reads `--budget` as its cap on preimages, not as a search
-    budget from the environment."""
+    """`cvp member` reads `--budget` as its cap on preimages, not as a
+    search budget from the environment."""
     from conjcat.cvp import DEFAULT_CSP_BUDGET
-    code, out, _ = run(capsys, "cvp", "--help")
+    code, out, _ = run(capsys, "cvp", "member", "--help")
     assert code == 0
     assert f"most preimages to check (default {DEFAULT_CSP_BUDGET};" in " ".join(out.split())
     assert "search budget" not in out

@@ -192,6 +192,23 @@ def test_bundle_rejects_a_second_quotient_block_for_a_letter():
         loads_bundle(text + QUOTIENT_A)
 
 
+def test_bundle_rejects_an_unclosed_quotient_block():
+    with pytest.raises(ParseError, match="quotient block missing its closing '}'"):
+        loads_bundle("kind: bundle\nalphabet: a\n" + QUOTIENT_A[:-len("}\n")])
+
+
+def test_bundle_rejects_a_rule_outside_its_quotient_blocks():
+    with pytest.raises(ParseError, match="inside quotient blocks"):
+        loads_bundle("kind: bundle\nalphabet: a\nS -> 'a' ;\n" + QUOTIENT_A)
+
+
+def test_grammar_loader_rejects_bundles_and_quotient_blocks():
+    with pytest.raises(ParseError, match="kind 'bundle' is a quotient bundle, not a grammar"):
+        loads_grammar(dumps_bundle(samples.three_block_bundle()))
+    with pytest.raises(ParseError, match="quotient blocks belong in bundle files"):
+        loads_grammar("kind: cg\nstart: S\nS -> 'a' ;\n" + QUOTIENT_A)
+
+
 # random grammar round trip: rules over a tiny vocabulary
 @st.composite
 def random_cg(draw):
