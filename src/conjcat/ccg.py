@@ -10,7 +10,11 @@ costs one table over the word: O(n^2) bits per category reachable from
 the queried one, filled by bitmask operations compiled for the three
 shapes of translated rule (axiom, division, conjunction), after a
 rejection in O(1) when the first or last letter cannot begin or end a
-word of the queried category.  A derivation
+word of the queried category.  A division reads only the rows that are
+nonempty so far (the recognizer keeps each category's mask of starts
+with a nonempty row, which skips nothing a row could add), so on the
+paper's three-block grammar it reads at most one row per start and a
+query takes time linear in the word's length.  A derivation
 is the recognizer's tree (`_Recognizer.tree`) with categories for
 nonterminals: at each node the first translated rule that applies, with
 its leftmost split.  That is the axiom, conjunct introduction or the

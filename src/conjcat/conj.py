@@ -255,9 +255,19 @@ class _Recognizer:
     shape (`_compiled`).  An axiom `A -> 'a'` sets bit i + 1 of its head's
     row before any component runs.  The other rules run grouped by
     component, in dependency order: a division `A -> B C` ORs the rows of
-    `C` over the bits of `ends[B][i]`, one index when it has one bit; a
-    conjunction `A -> B & C & ...` of single nonterminals ANDs their rows
-    at i; any other rule runs the body loop above.  `fill` runs only the
+    `C` over the bits of `ends[B][i]` that are also in `live[C]`, one
+    index when one bit is left; a conjunction `A -> B & C & ...` of single
+    nonterminals ANDs their rows at i; any other rule runs the body loop
+    above, which ANDs `live[B]` into its reach before each nonterminal
+    `B`.  `live[B]` is the mask of starts whose row of `B` is nonempty so
+    far, set wherever a row is written.  Skipping the other starts leaves
+    the table exact: a start lacks its bit only while its row is 0, and
+    ORing a 0 row adds nothing; a row that a cyclic step grows at its own
+    start gets its bit as it grows, before the step repeats.  So a
+    division reads only nonempty rows: on the paper's three-block grammar
+    at most one per start, not one for each end of an `a`-run, and
+    categorial membership there takes time linear in the word's length.
+    `fill` runs only the
     rules of the nonterminals its goal reaches: a goal's plans are
     restricted on its first query and kept in `goal_steps`.  Categorial
     membership and every derivation tree (`tree`) run on these tables.
@@ -382,8 +392,11 @@ class _Recognizer:
         """The table of `w` under `plans`, `steps` or a goal's restriction."""
         n = len(w)
         ends = [[0] * (n + 1) for _ in self.ids]
+        # live[A]: the starts whose row of `A` is nonempty so far
+        live = [0] * len(self.ids)
         for nt in self.nullable:
             ends[nt] = [1 << i for i in range(n + 1)]
+            live[nt] = (2 << n) - 1
         letters = self.letters
         codes = [letters[ch] for ch in w]
         masks = [0] * len(letters)
@@ -394,13 +407,14 @@ class _Recognizer:
             axioms, steps = plans[codes[i]]
             for head in axioms:
                 ends[head][i] |= start << 1
+                live[head] |= start
             for cyclic, rules in steps:
                 grew = True
                 while grew:
                     grew = False
                     for shape, head, x, y in rules:
                         if shape == _DIVISION:
-                            reach = ends[x][i]
+                            reach = ends[x][i] & live[y]
                             if not reach:
                                 continue
                             row = ends[y]
@@ -426,6 +440,7 @@ class _Recognizer:
                                     if item < 0:
                                         reach = (reach << 1) & masks[~item]
                                     else:
+                                        reach &= live[item]
                                         row = ends[item]
                                         acc = 0
                                         while reach:
@@ -442,6 +457,7 @@ class _Recognizer:
                             row = ends[head]
                             if got & ~row[i]:
                                 row[i] |= got
+                                live[head] |= start
                                 grew = cyclic
         return ends
 

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
@@ -138,14 +139,27 @@ SMALL_CCGS = (
      ("a", "s")))
 
 
+# Two grammars whose cyclic step reads, through a nullable prefix, a row
+# that the same step first writes at the current start: a division with
+# a nullable left item, and a longer body.
+SAME_START = (
+    ("same-start division",
+     [("S", [["E", "T"]]), ("T", [["S", "a"]]), ("T", [["b"]]), ("E", [[]]), ("E", [["c"]])]),
+    ("same-start body",
+     [("S", [["E", "T", "a"]]), ("S", [["b"]]), ("T", [["S", "b"]]), ("T", [["a"]]),
+      ("E", [[]]), ("E", [["c"]])]))
+
+
 def kernel_cases():
     """(name, grammar, words): seeded grammars as drawn, grammars whose
-    bodies end in terminals, and the translations of the three-block CCGs
-    and of `SMALL_CCGS`."""
+    bodies end in terminals, `SAME_START`, and the translations of the
+    three-block CCGs and of `SMALL_CCGS`."""
     for seed in range(150):
         yield f"random {seed}", random_conj_grammar(random.Random(seed)), words_up_to(5)
     for seed in range(120):
         yield f"trailing {seed}", trailing_terminal_grammar(random.Random(seed)), words_up_to(6)
+    for name, rules in SAME_START:
+        yield name, conj_grammar("S", rules, terminals={"a", "b", "c"}), list(words_over("abc", 0, 6))
     for name, g, max_len in (("three-block ccg", samples.three_block_ccg(), 5),
                              ("bundle ccg", bundle_to_ccg(samples.three_block_bundle()), 4)):
         yield name, ccg_to_cg(g), list(words_over("abc", 0, max_len))
@@ -197,18 +211,36 @@ def test_kernel_matches_the_chart_on_random_grammars():
 def test_kernel_cases_meet_every_compiled_shape():
     """The cases above run each shape of compiled rule both in a step that
     repeats to a fixpoint and in one that runs once; an axiom is hoisted
-    out of the steps, so it counts by its head."""
+    out of the steps, so it counts by its head.  They also run both kinds
+    of same-start read, where the mask of starts with a nonempty row is
+    read for a row that the same step may still grow at the current
+    start: a division whose left item is nullable, and a body whose
+    nonempty nullable prefix reaches a nonterminal of the same step."""
     shapes = {(shape, cyclic): 0 for shape in ("axiom", "division", "conjunction", "generic")
               for cyclic in (False, True)}
+    shapes["same-start", "division"] = shapes["same-start", "generic"] = 0
     names = {_DIVISION: "division", _CONJUNCTION: "conjunction", _GENERIC: "generic"}
     for _, g, _ in kernel_cases():
         recognizer = _Recognizer(g)
+        nullable = set(recognizer.nullable)
         for axioms, steps in recognizer.steps:
             for head in axioms:
                 shapes["axiom", head in recognizer.cyclic] += 1
             for cyclic, rules in steps:
-                for rule in rules:
-                    shapes[names[rule[0]], cyclic] += 1
+                heads = {rule[1] for rule in rules}
+                for shape, _, x, y in rules:
+                    shapes[names[shape], cyclic] += 1
+                    if not cyclic:
+                        continue
+                    if shape == _DIVISION:
+                        shapes["same-start", "division"] += x in nullable and y in heads
+                    elif shape == _GENERIC:
+                        for body in x:
+                            # the items read at the current start after a
+                            # nonempty nullable prefix
+                            prefix = list(itertools.takewhile(nullable.__contains__, body))
+                            shapes["same-start", "generic"] += any(
+                                item in heads for item in body[1:len(prefix) + 1])
     assert all(shapes.values()), shapes
 
 
@@ -267,6 +299,40 @@ def test_chart_matches_the_kernel_on_long_words():
         assert cg_member(g, member) and recognizer.fill(member, goal) is not None
         for w in near:
             assert cg_member(g, w) == (recognizer.fill(w, goal) is not None), w
+
+
+def run_lines(call) -> tuple:
+    """`call()` and the number of lines `_Recognizer._run` executed in it."""
+    code, count = _Recognizer._run.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return call(), count
+    finally:
+        sys.settrace(previous)
+
+
+def test_categorial_membership_work_grows_linearly():
+    """On the paper's three-block grammar a division ORs only the rows
+    that are nonempty, at most one per start here, so doubling the
+    length of a member or of a near miss at most doubles the recognizer's
+    work, give or take 10%.  ORing a row for every end of the left item
+    would make it grow about fourfold."""
+    g = samples.three_block_ccg()
+    for blocks, member in (((0, 0, 0), True), ((0, 1, 0), False)):
+        lines = []
+        for n in (80, 160):
+            w = "b{}c{}c{}".format(*("a" * (n + d) for d in blocks))
+            got, count = run_lines(lambda: ccg_member(g, w))
+            assert got == member, w
+            lines.append(count)
+        assert lines[1] <= 2.2 * lines[0], (member, lines)
 
 
 def test_kernel_matches_the_chart_on_the_circuit_grammar():
