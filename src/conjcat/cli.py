@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="backward proof search for a sequent")
     p.add_argument("--calculus", required=True,
                    choices=tuple(CALCULI) + ("MACLL",))
-    p.add_argument("sequent")
+    p.add_argument("sequent", help="the sequent; one that starts with '-', such as "
+                                   "'->p\\p', goes after '--', as in "
+                                   "prove --calculus L* -- '->p\\p'")
     common(p)
     p.set_defaults(func=_cmd_prove)
 

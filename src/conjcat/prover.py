@@ -42,13 +42,22 @@ completeness:
   derivable goal has this shape, and every premise still has fewer
   connectives than its goal;
 
-- head sets: the head set of a formula holds the primitives at which a
-  focus on it can end (strip the numerators of `\\` and `/`, join both
-  sides of an `&`), or is "any" when the focus can end at a `.` or `+`.
-  At a primitive succedent `p`, a focus starts only on a formula, and
-  picks only an `&` leaf, whose head set holds `p` or is "any".  A cache
-  keeps each formula's head set, and builds it only at a primitive
-  succedent;
+- focus tables: the focus table of a formula and a succedent lists the
+  leaves that a left focus on the formula may pick, the formula itself
+  when it is a division, else its `&`-chain leaves, each with where the
+  focus may close: anywhere (a `.` or `+` leaf, or a division whose
+  numerator is not primitive and whose head allows the succedent), only
+  at the first antecedent (a `/` whose numerator is the succedent), only
+  at the last (a `\\` whose numerator is the succedent), or only as the
+  whole antecedent (a primitive leaf equal to the succedent).  The head
+  of a division is what stripping its numerators leaves; it allows a
+  succedent that is not primitive, and a primitive one when it is that
+  primitive, a `.` or `+`, or an `&` whose table lists some leaf.  A goal
+  skips, in one lookup, a position whose formula has no leaf that may
+  close there, so an interior one unless some leaf may close anywhere,
+  and a focus builds the premise of a leaf only once the leaf survives.
+  A cache keeps the tables, one per formula met as an antecedent or an
+  `&` in focus, and succedent;
 
 - the one-sided search is focused as well.  When some rotation's head
   is `top`, a `@`, a `&`, or `bot` beside other formulas, that rule on
@@ -101,8 +110,8 @@ _MISS = object()
 
 class SearchCache:
     """Shareable memo tables, keyed by calculus, with the primitive-count
-    intervals, the primitive numbers, the head sets and the formula numbers
-    that the searches share.
+    intervals, the primitive numbers, the focus tables and the formula
+    numbers that the searches share.
 
     The balance check numbers each primitive name the first time it meets
     it, and packs an interval's counts into ints by those numbers.  The
@@ -113,13 +122,18 @@ class SearchCache:
     the cache's history, as memo hits already made it do; derivability
     never does.  Two threads may give two formulas one number, which only
     weakens the sharing of memo entries, or two primitives one number,
-    which only weakens the pruning.  A head set depends on its formula
-    alone, so two threads that build one store equal sets."""
+    which only weakens the pruning.
+
+    `focus` maps a succedent to its focus tables, keyed by formula (see
+    `_FocusTables`): the leaves that a left focus on the formula may pick,
+    each with the antecedent positions at which it may close.  A table
+    depends on its formula and succedent alone, so two threads that build
+    one store equal tables."""
 
     def __init__(self):
         self.tables: dict[str, dict] = {}
         self.intervals: dict = {}
-        self.heads: dict = {}
+        self.focus: dict = {}
         self.primitive_numbers: dict = {}
         self.formula_numbers: dict = {}
 
@@ -336,39 +350,90 @@ def _descend(chain: Category, op: type, i: int, rule: str, place,
     return ProofTree(place(chain), rule + step, (child,))
 
 
-def _heads(a: Category, memo: dict) -> Optional[frozenset]:
-    """The head set of `a`: the names of the primitives at which a left
-    focus on `a` can end, or None ("any") when it can also end at a `.` or
-    `+`.  Strip the numerators of `\\` and `/`, and join both sides of an
-    `&`; `memo` keeps the set of every formula and `&` side met."""
-    hit = memo.get(a, _MISS)
-    if hit is not _MISS:
-        return hit
-    head = a
-    while isinstance(head, (LDiv, RDiv)):
-        head = head.num
-    if isinstance(head, Prim):
-        out = frozenset((head.name,))
-    elif isinstance(head, And):
-        left, right = _heads(head.left, memo), _heads(head.right, memo)
-        out = None if left is None or right is None else left | right
-    else:
-        out = None
-    memo[a] = out
-    return out
+# Where a left focus may close, as bits: a focus table gives each leaf's,
+# and `_place` those that an antecedent position admits.
+_ANYWHERE, _FIRST, _LAST, _WHOLE = 1, 2, 4, 8
 
 
-def _may_close(f: Category, i: int, n: int, succ: Category) -> bool:
-    """False when a focus on `f`, at index `i` of `n` antecedents, is
-    stuck: `f` is a division with a primitive numerator, so its residual
-    premise is the axiom `succ -> succ` or nothing, and either the
-    numerator is not `succ` or context is left on the side that the
-    division does not take."""
-    if isinstance(f, LDiv):
-        return not isinstance(f.num, Prim) or (i == n - 1 and f.num == succ)
-    if isinstance(f, RDiv):
-        return not isinstance(f.num, Prim) or (i == 0 and f.num == succ)
-    return True
+def _place(i: int, n: int) -> int:
+    """The closing bits that index `i` of `n` antecedents admits."""
+    return (_ANYWHERE | (_FIRST if i == 0 else 0) | (_LAST if i == n - 1 else 0)
+            | (_WHOLE if n == 1 else 0))
+
+
+def _side(f: Category, succ: Category) -> int:
+    """Where a focus on `f` may close, by position alone.  A division with
+    a primitive numerator closes its residual premise as the axiom
+    `succ -> succ`, so only when the numerator is `succ`, and only with no
+    context left on the side that the division does not take: a `\\` as
+    the last antecedent, a `/` as the first.  Any other formula may close
+    anywhere."""
+    if isinstance(f, (LDiv, RDiv)) and isinstance(f.num, Prim):
+        if f.num != succ:
+            return 0
+        return _LAST if isinstance(f, LDiv) else _FIRST
+    return _ANYWHERE
+
+
+class _FocusTables(dict):
+    """The focus tables at one succedent, keyed by formula; a missing one
+    is built on first use and kept.
+
+    The table of `a` is `(mask, leaves)`.  `leaves` holds `(i, leaf,
+    where)` for each leaf that a left focus on `a` may pick, in order: `a`
+    itself, with `i` None, when it is a division, else leaf `i` of its
+    `&`-chain.  `where` is the leaf's closing bits, and `mask` their union.
+    A primitive leaf must close as the axiom, so only as the whole
+    antecedent and only when it is the succedent; a `.` or `+` leaf ends
+    the focus, so it may close anywhere; a division where `_side` says,
+    unless its head does not allow the succedent.  A primitive `a` has no
+    leaves: the axiom takes it."""
+
+    __slots__ = ("succ",)
+
+    def __init__(self, succ: Category):
+        super().__init__()
+        self.succ = succ
+
+    def __missing__(self, a: Category) -> tuple[int, tuple]:
+        table = self[a] = self.build(a)
+        return table
+
+    def build(self, a: Category) -> tuple[int, tuple]:
+        if isinstance(a, (LDiv, RDiv)):
+            choices = ((None, a),)
+        elif isinstance(a, And):
+            choices = enumerate(chain_leaves(a, And))
+        else:
+            return 0, ()
+        mask, leaves = 0, []
+        for i, leaf in choices:
+            if isinstance(leaf, Prim):
+                where = _WHOLE if leaf == self.succ else 0
+            elif isinstance(leaf, (Prod, Or)):
+                where = _ANYWHERE
+            else:
+                where = _side(leaf, self.succ)
+                if where == _ANYWHERE and not self.allows(leaf):
+                    where = 0
+            if where:
+                mask |= where
+                leaves.append((i, leaf, where))
+        return mask, tuple(leaves)
+
+    def allows(self, f: Category) -> bool:
+        """Whether a focus on `f` can end at the succedent: always when the
+        succedent is not primitive, else when the head of `f`, what
+        stripping its numerators leaves, is the succedent, a `.` or `+`,
+        or an `&` with a leaf that may close somewhere."""
+        succ = self.succ
+        if not isinstance(succ, Prim):
+            return True
+        while isinstance(f, (LDiv, RDiv)):
+            f = f.num
+        if isinstance(f, Prim):
+            return f == succ
+        return not isinstance(f, And) or self[f][0] != 0
 
 
 class _TwoSidedSearch(_Search):
@@ -379,21 +444,18 @@ class _TwoSidedSearch(_Search):
     def __init__(self, calculus: Calculus, budget: int, cache: SearchCache):
         super().__init__(calculus.name, budget, cache)
         self.calculus = calculus
-        self.heads = cache.heads
+        self.focus = cache.focus
 
     @staticmethod
     def _balance_terms(goal):
         # the antecedents count, the succedent is subtracted
         return goal[0], goal[1]
 
-    def _may_head(self, a: Category, succ: Category) -> bool:
-        """At a primitive succedent, does `a`'s head set allow it?"""
-        if not isinstance(succ, Prim):
-            return True
-        names = self.heads.get(a, _MISS)
-        if names is _MISS:
-            names = _heads(a, self.heads)
-        return names is None or succ.name in names
+    def _tables(self, succ: Category) -> _FocusTables:
+        tables = self.focus.get(succ)
+        if tables is None:
+            tables = self.focus.setdefault(succ, _FocusTables(succ))
+        return tables
 
     def _expansions(self, goal):
         if len(goal) == 3:
@@ -437,57 +499,76 @@ class _TwoSidedSearch(_Search):
                 if restricted and (k == 0 or k == n):
                     continue  # an empty part is underivable anyway
                 yield ("(->.)", k, ((ants[:k], succ.left), (ants[k:], succ.right)))
-        # Left focus on each division or &-chain; a primitive antecedent
-        # is taken by the axiom above only.
+        # Left focus on each division or &-chain whose focus table has a
+        # leaf that may close at its position: at an interior one, only a
+        # leaf that may close anywhere.  A primitive antecedent has none,
+        # as the axiom above takes it.
+        tables = self._tables(succ)
+        last = n - 1
         for h in range(n):
-            a = ants[h]
-            if not isinstance(a, Prim) and self._may_head(a, succ):
-                yield from self._focus(ants, succ, h, a)
+            mask = tables[ants[h]][0]
+            if mask & _ANYWHERE or (h == 0 or h == last) and mask & _place(h, n):
+                yield from self._focus(ants, succ, h, ants[h])
 
     def _focus(self, ants, succ, h, a):
         """The left rules with `a`, a division or an `&`-chain in the place
-        of ants[h], as principal formula.  The residual premise of a
-        division keeps the focus on its numerator, and a chosen `&` leaf
-        stays in focus, unless it is a `.` or `+`, which ends the focus.  A
-        primitive numerator or leaf must close the residual by the axiom,
-        which is decided here, and a focus that `_may_close` finds stuck is
-        never made a goal."""
+        of ants[h], as principal formula, where the caller has found that
+        it may close.  The residual premise of a division keeps the focus
+        on its numerator, and a chosen `&` leaf stays in focus, unless it
+        is a `.` or `+`, which ends the focus.  A primitive numerator or
+        leaf must close the residual by the axiom, which is decided here.
+        Only a leaf whose focus table entry may close at h is chosen, and
+        only a split that puts a numerator where `_side` lets it close is
+        made, so a premise is built only for what survives."""
         restricted = self.calculus.lambek_restriction
         n = len(ants)
         if isinstance(a, And):
-            for i, leaf in enumerate(chain_leaves(a, And)):
-                if isinstance(leaf, Prim):
-                    if n == 1 and leaf == succ:
-                        yield ("(&->)", (h, i), ())
+            place = _place(h, n)
+            for i, leaf, where in self._tables(succ)[a][1]:
+                if not where & place:
+                    continue
+                if where == _WHOLE:
+                    yield ("(&->)", (h, i), ())
                     continue
                 rest = ants[:h] + (leaf,) + ants[h + 1:]
                 if isinstance(leaf, (Prod, Or)):
                     yield ("(&->)", (h, i), ((rest, succ),))
-                elif _may_close(leaf, h, n, succ) and self._may_head(leaf, succ):
+                else:
                     yield ("(&->)", (h, i), ((rest, succ, h),))
             return
         num, den = a.num, a.den
         if isinstance(num, Prim):
             # the denominator takes all the context, the axiom the numerator
-            if _may_close(a, h, n, succ) and not (restricted and n == 1):
+            if not (restricted and n == 1):
                 rule = "(\\->)" if isinstance(a, LDiv) else "(/->)"
                 yield (rule, None, ((ants[:h] + ants[h + 1:], den),))
             return
         focused = not isinstance(num, (Prod, Or))
+        side = _side(num, succ)
         if isinstance(a, LDiv):
-            for l in range(h + 1 - restricted):
+            # the denominator takes ants[l:h], and the numerator lands at l:
+            # first when l is 0, last when h is
+            splits = range(h + 1 - restricted)
+            if side == _FIRST:
+                splits = splits[:1]
+            elif not side or side == _LAST and h != n - 1:
+                splits = ()
+            for l in splits:
                 rest = ants[:l] + (num,) + ants[h + 1:]
-                if not focused:
-                    yield ("(\\->)", None, ((ants[l:h], den), (rest, succ)))
-                elif _may_close(num, l, len(rest), succ):
-                    yield ("(\\->)", None, ((ants[l:h], den), (rest, succ, l)))
+                yield ("(\\->)", None,
+                       ((ants[l:h], den), (rest, succ, l) if focused else (rest, succ)))
         else:
-            for r in range(h + 1 + restricted, n + 1):
+            # the denominator takes ants[h + 1:r], and the numerator lands
+            # at h: first when h is 0, last when r is n
+            splits = range(h + 1 + restricted, n + 1)
+            if side == _LAST:
+                splits = splits[-1:]
+            elif not side or side == _FIRST and h != 0:
+                splits = ()
+            for r in splits:
                 rest = ants[:h] + (num,) + ants[r:]
-                if not focused:
-                    yield ("(/->)", None, ((ants[h + 1:r], den), (rest, succ)))
-                elif _may_close(num, h, len(rest), succ):
-                    yield ("(/->)", None, ((ants[h + 1:r], den), (rest, succ, h)))
+                yield ("(/->)", None,
+                       ((ants[h + 1:r], den), (rest, succ, h) if focused else (rest, succ)))
 
     # -- proof reconstruction: the or_right burst and the chosen & leaf
     # descend their chain in single steps, and a residual that the axiom

@@ -494,3 +494,14 @@ def test_prove_refutes_a_deep_left_associative_chain(capsys):
 def test_prove_exports_a_deep_left_associative_chain(capsys, output):
     code, out, _ = _prove_chain(capsys, 30_000, None, "--output", output)
     assert code == 0 and out.count("p") >= 2 * 30_001  # both sides of the axiom
+
+
+def test_prove_takes_a_sequent_that_starts_with_a_dash_after_a_double_dash(capsys):
+    """argparse reads `->p\\p` as an unknown option, so such a sequent goes
+    after `--`, as `prove --help` says; with a space it needs none."""
+    assert run(capsys, "prove", "--calculus", "MALC*", "--", "->p\\p")[:2] == (0, "derivable\n")
+    assert run(capsys, "prove", "--calculus", "MALC*", "-> p\\p")[:2] == (0, "derivable\n")
+    code, out, err = run(capsys, "prove", "--calculus", "MALC*", "->p\\p")
+    assert code == 2 and out == "" and "sequent" in err
+    code, out, _ = run(capsys, "prove", "--help")
+    assert code == 0 and "after '--'" in out

@@ -18,7 +18,8 @@ from conjcat.errors import BudgetError, CalculusError
 from conjcat.fuzz import (conjunction_goals, derivable_pool, random_category,
                           random_sequent)
 from conjcat.grammars import CALCULI, lambek_grammar
-from conjcat.prover import (ProofTree, SearchCache, _FIELD, _HALF, _MacllSearch,
+from conjcat.prover import (ProofTree, SearchCache, _FIELD, _FocusTables, _HALF,
+                            _MacllSearch,
                             _TwoSidedSearch, _WIDTH, _hull, _interval,
                             categories_equivalent, derivable,
                             lambek_enumerate, lambek_member, macll_derivable, prove,
@@ -1296,6 +1297,56 @@ def test_lambek_member_agrees_with_the_categorial_engine_at_length():
         assert len(cache.table(lam.calculus)) < bound, n
 
 
+def test_left_focus_work_per_memo_entry_stays_flat_at_length(monkeypatch):
+    """Criterion 4's member and near miss at lengths 102/103 and
+    1002/1003, each with a fresh cache: the memo sizes hold, the search
+    makes under 2 left-focus calls per memo entry (6.8, 10.2, 63.0 and 95.9
+    before the focus tables), and its `chain_leaves` walks do not grow
+    with the length (446,229 at length 1003 before)."""
+    import conjcat.prover as prover
+    from conjcat.transforms import ccg_to_malc
+    lam = ccg_to_malc(samples.three_block_ccg())
+    calls = {"focus": 0, "walks": 0}
+    focus, walk = _TwoSidedSearch._focus, prover.chain_leaves
+
+    def counted_focus(self, *args):
+        calls["focus"] += 1
+        return focus(self, *args)
+
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(_TwoSidedSearch, "_focus", counted_focus)
+    monkeypatch.setattr(prover, "chain_leaves", counted_walk)
+    walks = {}
+    for n, sizes in ((33, (273, 476)), (333, (2_673, 4_676))):
+        member = _three_blocks(n)
+        for w, size in zip((member, member + "a"), sizes):
+            calls.update(focus=0, walks=0)
+            cache = SearchCache()
+            assert lambek_member(lam, w, cache=cache) == (w == member)
+            assert len(cache.table(lam.calculus)) == size, len(w)
+            assert calls["focus"] < 2 * size, (len(w), calls)
+            walks.setdefault(w == member, []).append(calls["walks"])
+    for counts in walks.values():
+        assert counts[1] <= counts[0], walks
+
+
+def test_lexical_entries_are_a_choice_not_a_conjunction():
+    """ROADMAP direction 13's counterexample: `?` with the two entries `x`
+    and `y` rejects `?b` under `b: (x&y)\\s`, since neither choice meets
+    both conjuncts, while the single entry `x&y` accepts it.  Direction
+    3(d) relies on the first answer."""
+    x, y = Prim("x"), Prim("y")
+    b = LDiv(And(x, y), s)
+    for calculus in ("MALC", "MALC*"):
+        two = lambek_grammar({"?": [x, y], "b": [b]}, s, calculus)
+        one = lambek_grammar({"?": [And(x, y)], "b": [b]}, s, calculus)
+        assert not lambek_member(two, "?b")
+        assert lambek_member(one, "?b")
+
+
 def test_lambek_member_on_the_empty_string_grammar_at_length():
     """Criterion 5's grammar, whose lexicon substitutes the empty-string
     category into every entry: the members b a^n c a^n c a^n and their
@@ -1336,15 +1387,16 @@ def test_lambek_enumerate():
 
 def test_shared_cache_thread_safety():
     """Both searches on one cache from many threads, switching often: the
-    memo tables, the primitive numbers, the head sets and the one-sided
+    memo tables, the primitive numbers, the focus tables and the one-sided
     search's formula numbers are shared, and so is the table that builds
-    every term."""
+    every term.  Every focus table that the threads stored equals a fresh
+    single-threaded build."""
     g_cache = SearchCache()
     seqs = [random_sequent(random.Random(i), 6) for i in range(40)]
     # primitives that no thread has numbered yet, met by many at once
     seqs += [random_sequent(random.Random(i), 6, atoms=("p", f"a{i % 4}", f"b{i}"))
              for i in range(40, 70)]
-    # &-chains at primitive succedents, whose head sets many build at once
+    # &-chains at primitive succedents, whose focus tables many build at once
     for i in range(70, 100):
         rng = random.Random(i)
         seqs.append(Sequent(_chain_sequent(rng).antecedent, rng.choice([p, q, r])))
@@ -1354,6 +1406,10 @@ def test_shared_cache_thread_safety():
     for i in range(100, 130):
         seqs.append(random_sequent(random.Random(i % 6), 6, atoms=("p", "a", "b")))
         texts[i] = re.sub(r"\b([ab])\b", r"race_\1", sequent_str(seqs[i]))
+    # more &-chains, so that the threads store at least 100 focus tables
+    for i in range(130, 160):
+        rng = random.Random(i)
+        seqs.append(Sequent(_chain_sequent(rng).antecedent, rng.choice([p, q, r])))
     expected = [derivable("MALC*", sq) for sq in seqs]
     results, parsed = {}, {}
     start = threading.Barrier(len(seqs))
@@ -1379,7 +1435,10 @@ def test_shared_cache_thread_safety():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results[i] for i in range(len(seqs))] == [(e, e) for e in expected]
-    assert len(g_cache.heads) >= 100
+    assert sum(map(len, g_cache.focus.values())) >= 100
+    for succ, tables in g_cache.focus.items():
+        for a, table in tables.items():
+            assert table == _FocusTables(succ).build(a), (succ, a)
     for i, text in texts.items():
         again = parse_sequent(text)
         assert again.succedent is parsed[i].succedent
