@@ -25,14 +25,13 @@ division two or more.  Enumeration and replay read the translation too.
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .conj import (CGDerivation, CGNode, _Recognizer, cg_languages, check_letters,
                    replay_derivation as conj_replay)
 from .errors import GrammarError
 from .grammars import CCG, ConjGrammar, Rule, chart_index
-from .syntax import (And, Category, LDiv, Prim, RDiv, category_latex,
+from .syntax import (And, Category, LDiv, Prim, RDiv, Record, category_latex,
                      category_str, conjunct_members, fresh_names, inference,
                      separated, subexpressions, tree_pieces)
 
@@ -52,8 +51,7 @@ def ccg_extend(g: CCG, symbol: str, category: Category) -> CCG:
     return CCG(g.alphabet | {symbol}, g.target, g.axioms + ((category, symbol),))
 
 
-@dataclass(frozen=True)
-class CCGNode:
+class CCGNode(Record):
     """Derivation node: an axiom leaf, a conjunct introduction (children
     all derive the same span), or a division combining adjacent spans."""
 
@@ -63,8 +61,7 @@ class CCGNode:
     children: tuple["CCGNode", ...] = ()
 
 
-@dataclass(frozen=True)
-class CCGDerivation:
+class CCGDerivation(Record):
     word: str
     root: CCGNode
 
@@ -135,10 +132,8 @@ def ccg_translation(g: CCG) -> tuple[ConjGrammar, dict[Category, str], tuple[str
         rules.append(Rule(names[cat], ((sym,),)))
         kinds.append("axiom")
 
-    translated = ConjGrammar(terminals=g.alphabet,
-                             nonterminals=frozenset(names.values()),
-                             start=names[g.target],
-                             rules=tuple(rules))
+    translated = ConjGrammar(g.alphabet, frozenset(names.values()), names[g.target],
+                             tuple(rules))
     return translated, names, tuple(kinds)
 
 

@@ -6,12 +6,11 @@ requiring every conjunct to derive the same string.
 """
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetError, GrammarError, UndeclaredSymbolError
 from .grammars import ConjGrammar, Rule, chart_index
-from .syntax import inference, separated, tree_pieces
+from .syntax import Record, inference, separated, tree_pieces
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -36,8 +35,7 @@ def nullable_nonterminals(g: ConjGrammar) -> frozenset[str]:
 # Derivation trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CGNode:
+class CGNode(Record):
     """One derivation node.
 
     Leaves are terminal axioms (`rule_index is None`, `children is None`)
@@ -51,8 +49,7 @@ class CGNode:
     children: Optional[tuple[tuple["CGNode", ...], ...]] = None
 
 
-@dataclass(frozen=True)
-class CGDerivation:
+class CGDerivation(Record):
     word: str
     root: CGNode
 
@@ -766,8 +763,7 @@ def cg_languages(g: ConjGrammar, max_len: int,
 # Rule-shape check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OddFormReport:
+class OddFormReport(Record):
     passed: bool
     violations: tuple[str, ...]
 

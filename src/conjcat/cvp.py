@@ -3,19 +3,18 @@ grammar recognizing true circuits, and the satisfiability harness."""
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Union
 
 from .conj import cg_member
 from .errors import GrammarError, ParseError
 from .grammars import ConjGrammar, Rule
+from .syntax import Record
 from .transforms import Homomorphism, image_member
 
 DEFAULT_CSP_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(Record):
     value: int
 
     def __post_init__(self):
@@ -23,8 +22,7 @@ class Input:
             raise GrammarError(f"input bit must be 0 or 1, got {self.value!r}")
 
 
-@dataclass(frozen=True)
-class Nor:
+class Nor(Record):
     """NOR of the previous gate and the earlier gate `arg` (1-based)."""
 
     arg: int
@@ -33,8 +31,7 @@ class Nor:
 Gate = Union[Input, Nor]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """Input gates followed by NOR gates, each NOR taking the previous
     gate and one earlier gate."""
 

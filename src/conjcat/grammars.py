@@ -1,12 +1,11 @@
 """Grammar value types: conjunctive, conjunctive-categorial, Lambek, and
 quotient bundles."""
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import GrammarError
-from .syntax import (Category, Prim, is_bcat, is_bcat_conj, is_multiplicative,
-                     category_str, primitive_names)
+from .syntax import (Category, Prim, Record, is_bcat, is_bcat_conj,
+                     is_multiplicative, category_str, primitive_names)
 
 _RESERVED_WORDS = {"eps"}
 
@@ -19,7 +18,7 @@ def _check_symbol(sym: str, role: str):
 def chart_index(g, build):
     """`build(g)`, computed on the first call for the grammar object `g`
     and kept in its `__dict__`: grammar-level tables that every chart on
-    `g` shares and none changes.  The slot is not a dataclass field, so
+    `g` shares and none changes.  The slot is not a record field, so
     `==`, `hash` and `repr` ignore it.  Threads racing on the first call
     may each build a value; `setdefault` hands all of them the first one
     stored."""
@@ -29,8 +28,7 @@ def chart_index(g, build):
     return index
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """One grammar rule: a head and one or more conjunct bodies.
 
     A conjunct body is a (possibly empty) tuple of terminal and
@@ -49,8 +47,7 @@ class Rule:
             " ".join(body) if body else "eps" for body in self.conjuncts)
 
 
-@dataclass(frozen=True)
-class ConjGrammar:
+class ConjGrammar(Record):
     terminals: frozenset[str]
     nonterminals: frozenset[str]
     start: str
@@ -92,8 +89,7 @@ def conj_grammar(start: str, rules: list[tuple[str, list[list[str]]]],
     return ConjGrammar(frozenset(terminals), frozenset(nonterminals), start, rule_objs)
 
 
-@dataclass(frozen=True)
-class QuotientBundle:
+class QuotientBundle(Record):
     """Per-letter quotient grammars for a language L over `alphabet`.
 
     `quotients[a]` describes the nonempty part of { w : aw in L }; an
@@ -105,9 +101,11 @@ class QuotientBundle:
 
     alphabet: tuple[str, ...]
     quotients: Mapping[str, ConjGrammar]
-    eps_flags: Mapping[str, bool] = field(default_factory=dict)
+    eps_flags: Optional[Mapping[str, bool]] = None  # None: a new empty dict
 
     def __post_init__(self):
+        if self.eps_flags is None:
+            object.__setattr__(self, "eps_flags", {})
         for letter in self.quotients:
             if letter not in self.alphabet:
                 raise GrammarError(f"quotient letter {letter!r} not in the alphabet")
@@ -127,8 +125,7 @@ class QuotientBundle:
         return bool(self.eps_flags.get(letter, False))
 
 
-@dataclass(frozen=True)
-class CCG:
+class CCG(Record):
     """Conjunctive categorial grammar: a finite axiom assignment and a
     primitive target.  Duplicate axioms are dropped, first occurrence wins."""
 
@@ -175,8 +172,7 @@ def ccg(target: str, axioms: list[tuple[Category, str]],
 CALCULUS_NAMES = ("L", "L*", "MALC", "MALC*")
 
 
-@dataclass(frozen=True)
-class Calculus:
+class Calculus(Record):
     """A two-sided sequent calculus variant.
 
     `lambek_restriction` forbids the empty antecedent in the two
@@ -196,8 +192,7 @@ MALC_STAR = Calculus("MALC*", False, True)
 CALCULI: Mapping[str, Calculus] = {c.name: c for c in (L, L_STAR, MALC, MALC_STAR)}
 
 
-@dataclass(frozen=True, eq=True)
-class LambekGrammar:
+class LambekGrammar(Record):
     """Lexicalized grammar over one of the two-sided calculi.
 
     The target may be compound.  Alphabet symbols without lexicon entries

@@ -89,13 +89,12 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import BudgetError, CalculusError, UndeclaredSymbolError
 from .grammars import CALCULI, Calculus, LambekGrammar
 from .syntax import (And, Atom, BOT, Category, Const, Formula, LDiv, MacllSequent,
-                     ONE, Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP, Times,
+                     ONE, Or, Par, Plus, Prim, Prod, RDiv, Record, Sequent, TOP, Times,
                      With, ZERO, chain_leaves, inference, is_multiplicative, macll_dual,
                      macll_sequent_latex, separated, sequent_latex, tree_pieces)
 
@@ -141,8 +140,7 @@ class SearchCache:
         return self.tables.setdefault(name, {})
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(Record):
     conclusion: Union[Sequent, MacllSequent]
     rule: str
     premises: tuple["ProofTree", ...] = ()

@@ -6,8 +6,8 @@ terms are one object, so they compare and hash by identity.
 """
 
 import re
-from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
@@ -744,11 +744,103 @@ def formula_latex(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Records: immutable values made of named fields
+# ---------------------------------------------------------------------------
+
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base class of the library's record types (sequents, grammars,
+    derivations, proofs, circuits): immutable values made of fields.
+
+    A subclass names its fields, in order, by its own class annotations;
+    a field's default is the annotated name's class attribute.  The base
+    gives every subclass the same methods:
+
+    - `__init__` takes the fields positionally or by keyword, fills the
+      missing ones from their defaults, then calls `__post_init__`, which
+      checks the value.  A `__post_init__` that normalises a field writes
+      it with `object.__setattr__`.
+    - `==` and `hash` compare and hash the tuple of field values, between
+      values of the same class only.  A subclass that sets
+      `__hash__ = None` (one with a dict-valued field) is unhashable.
+    - `repr` is `Name(field=value, ...)`.
+    - Assigning or deleting an attribute raises `AttributeError`.
+
+    The fields live in the instance `__dict__`: `copy` and pickle restore
+    them through it without calling `__init__`, and data kept beside the
+    fields there (`grammars.chart_index`) takes no part in `==`, `hash`
+    or `repr`.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__annotations__)
+        required = sum(name not in cls.__dict__ for name in fields)
+        if any(name in cls.__dict__ for name in fields[:required]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with")
+        cls._defaults = tuple(cls.__dict__[name] for name in fields[required:])
+        cls._get = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        i = 0  # a counter, which CPython runs faster than `zip` here
+        for name in fields:
+            _set_field(self, name, args[i])
+            i += 1
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values, in order, of a call that leaves out fields or
+        names them."""
+        fields, defaults = self._fields, self._defaults
+        required = len(fields) - len(defaults)
+        if not kwargs and required <= len(args) <= len(fields):
+            return args + defaults[len(args) - required:]
+        values = dict(zip(fields[required:], defaults))
+        values.update(zip(fields, args))
+        values.update(kwargs)
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(fields)}, given {len(args)} positional "
+                            f"arguments and the keywords {', '.join(kwargs) or 'none'}")
+        return tuple([values[name] for name in fields])
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        values = self._get(self)
+        return values if len(self._fields) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == other._get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Sequents: two-sided over categories, one-sided over formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record):
     """Antecedent sequence (possibly empty) and a succedent category."""
 
     antecedent: tuple[Category, ...]
@@ -790,8 +882,7 @@ def parse_sequent(text: str) -> Sequent:
     return Sequent(tuple(antecedent), succedent)
 
 
-@dataclass(frozen=True)
-class MacllSequent:
+class MacllSequent(Record):
     """Nonempty formula sequence, read modulo cyclic rotation."""
 
     formulas: tuple[Formula, ...]

@@ -2,15 +2,14 @@
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .ccg import ccg_translation
 from .conj import _odd_form_shape, cg_enumerate, check_odd_normal_form
 from .errors import BudgetError, GrammarError, UndeclaredSymbolError
 from .grammars import CCG, ConjGrammar, LambekGrammar, QuotientBundle
-from .syntax import (And, Category, LDiv, Or, Prim, RDiv, category_str, chain,
-                     chain_leaves, conjunct_members, fresh_name, fresh_names,
+from .syntax import (And, Category, LDiv, Or, Prim, RDiv, Record, category_str,
+                     chain, chain_leaves, conjunct_members, fresh_name, fresh_names,
                      is_and_free, is_conjunct, make_conjunct, primitive_names,
                      substitute_primitive)
 
@@ -278,8 +277,7 @@ def to_disjunction_grammar(g: CCG, include_empty: bool = False) -> LambekGrammar
 # Homomorphic images
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
-class Homomorphism:
+class Homomorphism(Record):
     """Length-preserving (symbol-to-symbol) homomorphism."""
 
     mapping: Mapping[str, str]

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every command pays for its imports: `dataclasses` pulls in
+    `inspect`, `ast`, `dis` and `tokenize`, and the record types do without
+    it.  The child runs without `site`, whose start-up files may import
+    anything."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, conjcat.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_member_exit_codes(capsys, three_block_ccg_file):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conjcat.errors import ParseError
+from conjcat.ccg import CCGDerivation, CCGNode
+from conjcat.conj import CGDerivation, CGNode, OddFormReport
+from conjcat.cvp import Circuit, Input, Nor
+from conjcat.errors import GrammarError, ParseError
+from conjcat.grammars import (CCG, Calculus, ConjGrammar, LambekGrammar,
+                              QuotientBundle, Rule)
+from conjcat.prover import ProofTree
+from conjcat.transforms import Homomorphism
 from conjcat.fuzz import random_category, random_sequent
 from conjcat.syntax import (And, Atom, BOT, Const, LDiv, MacllSequent, ONE,
                             Or, Par, Plus, Prim, Prod, RDiv, Sequent, TOP,
@@ -457,6 +464,193 @@ def test_a_deep_term_pickles_flat_and_comes_back_itself():
         shared = And(shared, shared)
     data = pickle.dumps(shared)
     assert len(data) < 2_000 and pickle.loads(data) is shared
+
+
+
+# --- record types ------------------------------------------------------------
+#
+# The 18 record types compare, hash, print, refuse assignment and copy by
+# their fields.  Per type: the fields of one value in declaration order, a
+# different value for each field, and the value's `repr`.
+
+_P, _Q = Prim("p"), Prim("q")
+_RULE = Rule("S", (("a",),))
+_NONTERMINALS = frozenset({"S", "T"})
+_GRAMMAR = ConjGrammar(frozenset({"a"}), _NONTERMINALS, "S", (_RULE,))
+_LEAF = CGNode("a", (0, 1))
+_AXIOM = CCGNode(_P, (0, 1), "axiom")
+_PROOF = ProofTree(Sequent((_P,), _P), "axiom")
+_RULE_TEXT = "Rule(head='S', conjuncts=(('a',),))"
+_LEAF_TEXT = "CGNode(symbol='a', span=(0, 1), rule_index=None, children=None)"
+_AXIOM_TEXT = "CCGNode(category=Prim('p'), span=(0, 1), rule='axiom', children=())"
+
+_RECORDS = [
+    (Rule, {"head": "S", "conjuncts": (("a",),)},
+     {"head": "T", "conjuncts": ((), ("a",))}, _RULE_TEXT),
+    (ConjGrammar,
+     {"terminals": frozenset({"a"}), "nonterminals": _NONTERMINALS, "start": "S",
+      "rules": (_RULE,)},
+     {"terminals": frozenset({"a", "b"}), "nonterminals": frozenset({"S", "T", "U"}),
+      "start": "T", "rules": ()},
+     f"ConjGrammar(terminals=frozenset({{'a'}}), nonterminals={_NONTERMINALS!r}, "
+     f"start='S', rules=({_RULE_TEXT},))"),
+    (QuotientBundle, {"alphabet": ("a",), "quotients": {}, "eps_flags": {"a": True}},
+     {"alphabet": ("a", "b"), "quotients": {"a": _GRAMMAR}, "eps_flags": {"a": False}},
+     "QuotientBundle(alphabet=('a',), quotients={}, eps_flags={'a': True})"),
+    (CCG, {"alphabet": frozenset({"a"}), "target": _P, "axioms": ((_P, "a"),)},
+     {"alphabet": frozenset({"a", "b"}), "target": _Q, "axioms": ((_Q, "a"),)},
+     "CCG(alphabet=frozenset({'a'}), target=Prim('p'), axioms=((Prim('p'), 'a'),))"),
+    (Calculus, {"name": "L", "lambek_restriction": True, "additives": False},
+     {"name": "X", "lambek_restriction": False, "additives": True},
+     "Calculus(name='L', lambek_restriction=True, additives=False)"),
+    (LambekGrammar,
+     {"alphabet": frozenset({"a"}), "lexicon": {"a": (_P,)}, "target": _P, "calculus": "L"},
+     {"alphabet": frozenset({"a", "b"}), "lexicon": {"a": (_Q,)}, "target": _Q,
+      "calculus": "MALC"},
+     "LambekGrammar(alphabet=frozenset({'a'}), lexicon={'a': (Prim('p'),)}, "
+     "target=Prim('p'), calculus='L')"),
+    (Sequent, {"antecedent": (_P,), "succedent": _P}, {"antecedent": (), "succedent": _Q},
+     "Sequent(antecedent=(Prim('p'),), succedent=Prim('p'))"),
+    (MacllSequent, {"formulas": (Atom("p", True), Atom("p", False))}, {"formulas": (ONE,)},
+     "MacllSequent(formulas=(Atom('p', negated=True), Atom('p', negated=False)))"),
+    (CGNode, {"symbol": "S", "span": (0, 1), "rule_index": 0, "children": ((_LEAF,),)},
+     {"symbol": "T", "span": (0, 2), "rule_index": 1, "children": None},
+     f"CGNode(symbol='S', span=(0, 1), rule_index=0, children=(({_LEAF_TEXT},),))"),
+    (CGDerivation, {"word": "a", "root": _LEAF},
+     {"word": "b", "root": CGNode("b", (0, 1))},
+     f"CGDerivation(word='a', root={_LEAF_TEXT})"),
+    (OddFormReport, {"passed": False, "violations": ("x",)},
+     {"passed": True, "violations": ()},
+     "OddFormReport(passed=False, violations=('x',))"),
+    (CCGNode, {"category": _P, "span": (0, 1), "rule": "axiom", "children": ()},
+     {"category": _Q, "span": (0, 2), "rule": "left_div", "children": (_AXIOM,)},
+     _AXIOM_TEXT),
+    (CCGDerivation, {"word": "a", "root": _AXIOM},
+     {"word": "b", "root": CCGNode(_Q, (0, 1), "axiom")},
+     f"CCGDerivation(word='a', root={_AXIOM_TEXT})"),
+    (ProofTree, {"conclusion": Sequent((_P,), _P), "rule": "axiom", "premises": ()},
+     {"conclusion": MacllSequent((ONE,)), "rule": "(cycle)", "premises": (_PROOF,)},
+     "ProofTree(conclusion=Sequent(antecedent=(Prim('p'),), succedent=Prim('p')), "
+     "rule='axiom', premises=())"),
+    (Input, {"value": 0}, {"value": 1}, "Input(value=0)"),
+    (Nor, {"arg": 1}, {"arg": 2}, "Nor(arg=1)"),
+    (Circuit, {"gates": (Input(0), Input(1), Nor(1))}, {"gates": (Input(1),)},
+     "Circuit(gates=(Input(value=0), Input(value=1), Nor(arg=1)))"),
+    (Homomorphism, {"mapping": {"a": "b"}}, {"mapping": {"a": "c"}},
+     "Homomorphism(mapping={'a': 'b'})"),
+]
+# A dict-valued field makes a value unhashable.
+_UNHASHABLE = (QuotientBundle, LambekGrammar, Homomorphism)
+
+
+@pytest.mark.parametrize("cls, fields, others, text", _RECORDS,
+                         ids=[case[0].__name__ for case in _RECORDS])
+def test_records_compare_hash_print_freeze_and_copy_by_their_fields(cls, fields, others, text):
+    value = cls(**fields)
+    assert value == cls(*fields.values()) and not value != cls(**fields)
+    assert value != object() and value.__eq__(object()) is NotImplemented
+    assert repr(value) == text
+    assert list(others) == list(fields)
+    for name, other in others.items():
+        changed = cls(**{**fields, name: other})
+        assert changed != value and not changed == value
+    if cls in _UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(*fields.values()))
+    for name in [*fields, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, others.get(name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**fields) and repr(value) == text
+    # (a copied set may iterate in another order, so `repr` is not compared)
+    for copy_of in _copies():
+        again = copy_of(value)
+        assert type(again) is cls and again == value and vars(again) == vars(value)
+
+
+def test_records_take_defaults_and_refuse_bad_arguments():
+    assert _LEAF == CGNode("a", (0, 1), None, None) == CGNode(span=(0, 1), symbol="a")
+    assert _AXIOM.children == () and _PROOF.premises == ()
+    bundles = [QuotientBundle(("a",), {}) for _ in range(2)]
+    assert bundles[0].eps_flags == {} and bundles[0].eps_flags is not bundles[1].eps_flags
+    assert repr(bundles[0]) == "QuotientBundle(alphabet=('a',), quotients={}, eps_flags={})"
+    assert Input(1) != Nor(1)
+    for call in (lambda: Rule("S"), lambda: Rule("S", (("a",),), 1),
+                 lambda: Rule("S", (("a",),), extra=1), lambda: Rule("S", head="S"),
+                 lambda: CGNode("a")):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_record_checks_refuse_bad_values():
+    s_rule = Rule("S", (("a",),))
+    two = ConjGrammar(frozenset({"b"}), frozenset({"S"}), "S", (Rule("S", (("b",),)),))
+    cases = [
+        (lambda: Rule("S", ()), GrammarError, "rule for S has no conjuncts"),
+        (lambda: ConjGrammar(frozenset({"ab"}), frozenset({"S"}), "S", ()), GrammarError,
+         "terminal must be a single printable symbol: 'ab'"),
+        (lambda: ConjGrammar(frozenset({"a"}), frozenset({"S", "a"}), "S", ()), GrammarError,
+         "symbols are both terminal and nonterminal: ['a']"),
+        (lambda: ConjGrammar(frozenset({"a"}), frozenset({"eps"}), "eps", ()), GrammarError,
+         "nonterminal name 'eps' is reserved"),
+        (lambda: ConjGrammar(frozenset({"a"}), frozenset({"S"}), "T", ()), GrammarError,
+         "start symbol 'T' is not declared"),
+        (lambda: ConjGrammar(frozenset({"a"}), frozenset({"T"}), "T", (s_rule,)), GrammarError,
+         "rule head 'S' is not a nonterminal"),
+        (lambda: ConjGrammar(frozenset({"b"}), frozenset({"S"}), "S", (s_rule,)), GrammarError,
+         "undeclared symbol 'a' in rule S -> a"),
+        (lambda: QuotientBundle(("a",), {"b": two}), GrammarError,
+         "quotient letter 'b' not in the alphabet"),
+        (lambda: QuotientBundle(("a",), {}, {"b": True}), GrammarError,
+         "eps letter 'b' not in the alphabet"),
+        (lambda: QuotientBundle(("a", "b"), {"a": _GRAMMAR, "b": two}), GrammarError,
+         "quotient grammars share nonterminals: ['S']"),
+        (lambda: CCG(frozenset({"a"}), LDiv(_P, _P), ()), GrammarError,
+         "the target category must be primitive"),
+        (lambda: CCG(frozenset({" "}), _P, ()), GrammarError,
+         "alphabet symbol must be a single printable symbol: ' '"),
+        (lambda: CCG(frozenset({"a"}), _P, ((Prod(_P, _P), "a"),)), GrammarError,
+         "axiom category is outside the conjunct-denominator fragment: p.p"),
+        (lambda: CCG(frozenset({"a"}), _P, ((_P, "b"),)), GrammarError,
+         "axiom symbol 'b' is not in the alphabet"),
+        (lambda: LambekGrammar(frozenset({"a"}), {}, _P, "K"), GrammarError,
+         "unknown calculus 'K'"),
+        (lambda: LambekGrammar(frozenset({"&"}), {}, _P, "L"), GrammarError,
+         "alphabet symbol must be a single printable symbol: '&'"),
+        (lambda: LambekGrammar(frozenset({"a"}), {"b": (_P,)}, _P, "L"), GrammarError,
+         "lexicon symbol 'b' is not in the alphabet"),
+        (lambda: LambekGrammar(frozenset({"a"}), {"a": ()}, _P, "L"), GrammarError,
+         "lexicon entry for 'a' is empty"),
+        (lambda: LambekGrammar(frozenset({"a"}), {"a": (And(_P, _Q),)}, _P, "L*"),
+         GrammarError, "category p&q uses additives, which L* does not admit"),
+        (lambda: MacllSequent(()), ValueError,
+         "a one-sided sequent needs at least one formula"),
+        (lambda: Input(2), GrammarError, "input bit must be 0 or 1, got 2"),
+        (lambda: Circuit((Nor(1),)), GrammarError,
+         "a circuit starts with at least one input gate"),
+        (lambda: Circuit((Input(0), Input(1), Nor(1), Input(0))), GrammarError,
+         "input gates must precede all NOR gates"),
+        (lambda: Circuit((Input(0), Nor(2))), GrammarError,
+         "gate 2 references gate 2, which is not earlier"),
+        (lambda: Homomorphism({"a": "bc"}), GrammarError,
+         "homomorphism must map symbols to symbols"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
+
+def test_a_ccg_drops_duplicate_axioms_first_occurrence_first():
+    axioms = ((_P, "a"), (_Q, "a"), (_P, "a"), (_Q, "b"), (_Q, "a"))
+    g = CCG(frozenset({"a", "b"}), _P, axioms)
+    assert g.axioms == ((_P, "a"), (_Q, "a"), (_Q, "b"))
+    assert g == CCG(frozenset({"a", "b"}), _P, g.axioms)
+    assert hash(g) == hash(CCG(frozenset({"a", "b"}), _P, g.axioms))
+    assert repr(g).endswith("axioms=((Prim('p'), 'a'), (Prim('q'), 'a'), (Prim('q'), 'b')))")
 
 
 # --- golden digests ----------------------------------------------------------
